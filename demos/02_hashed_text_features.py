@@ -17,19 +17,19 @@ print(f"dimension {config.dimension}, word grams {config.word_ngram_range}, "
       f"char grams {config.char_ngram_range}")
 
 # ---------------------------------------------------------------------------
-# one query -> one sparse vector
+# one query -> one sparse row (a 1 x dimension CSR matrix)
 # ---------------------------------------------------------------------------
 
 vec = featurize(config, "write a regex that validates dates")
-print(f"\nnonzeros {len(vec.indices)} of {vec.dimension}, "
-      f"L2 norm {np.linalg.norm(vec.weights):.6f}")
+print(f"\nnonzeros {vec.nnz} of {vec.shape[1]}, "
+      f"L2 norm {np.linalg.norm(vec.data):.6f}")
 print("first indices:", vec.indices[:8])
 
 # Hashing is a pure function of the text, so the same query always maps to
 # the same vector, on any machine, with no fitted state.
 again = featurize(config, "write a regex that validates dates")
 print("deterministic:", np.array_equal(vec.indices, again.indices)
-      and np.array_equal(vec.weights, again.weights))
+      and np.array_equal(vec.data, again.data))
 
 # stable_hash is the same primitive exposed for general use (the holdout
 # splitter keys on it, for instance).
@@ -40,8 +40,7 @@ print(f'stable_hash("route me") = {stable_hash("route me"):#018x}')
 # ---------------------------------------------------------------------------
 
 def cosine(a, b):
-    da = dict(zip(a.indices.tolist(), a.weights.tolist()))
-    return sum(w * da.get(i, 0.0) for i, w in zip(b.indices.tolist(), b.weights.tolist()))
+    return float((a @ b.T)[0, 0])  # rows are L2-normalized
 
 base = featurize(config, "find the derivative of x squared")
 near = featurize(config, "find the derivative of x cubed")

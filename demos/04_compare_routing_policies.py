@@ -19,7 +19,6 @@ and uplift rate (share of subsets won).
 """
 
 from rewardroute import (
-    DatasetLookupSource,
     FeaturizerConfig,
     SyntheticSpec,
     TrainConfig,
@@ -61,9 +60,7 @@ trained, _ = train(model, train_ds, table, TrainConfig(seed=21))
 accuracy = routing_accuracy(trained, eval_ds, oracle)
 print(f"held-out routing accuracy: {accuracy:.3f} over {len(eval_ds)} queries")
 
-report = evaluate_systems(
-    dataset, oracle, model=trained, source=DatasetLookupSource(dataset),
-)
+report = evaluate_systems(dataset, oracle, model=trained, rmr=True)
 print("\naggregate over the four subsets:")
 print(report.render_table())
 

@@ -17,7 +17,6 @@ model can't tell the candidates apart = more mistakes.
 import numpy as np
 
 from rewardroute import (
-    DatasetLookupSource,
     SyntheticSpec,
     TrainConfig,
     beta_ablation,
@@ -56,7 +55,7 @@ uncertain = SyntheticSpec(
     expertise_margin=1.0, noise_sigma=1.0, seed=0,
 )
 dataset, oracle = make_synthetic_benchmark(uncertain)
-analysis = entropy_quality_analysis(dataset, DatasetLookupSource(dataset), oracle)
+analysis = entropy_quality_analysis(dataset, oracle)
 
 print(f"{len(dataset)} queries, noise on par with the margin")
 print(f"rank correlation (entropy vs correct): {analysis.correlation:.3f}")

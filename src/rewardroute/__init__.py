@@ -61,7 +61,6 @@ from .evaluation import (
     uplift_rate,
 )
 from .features import (
-    FeatureVector,
     FeaturizerConfig,
     extract_ngrams,
     featurize,
@@ -71,16 +70,9 @@ from .features import (
 )
 from .gateway import Gateway, GatewayConfig, Metrics, serve
 from .ranking import (
-    CandidateOutput,
-    DatasetLookupSource,
-    NoisyWrapperSource,
-    PlantedExpertiseSource,
-    RewardSource,
     SyntheticSpec,
-    candidate_outputs,
     make_synthetic_benchmark,
     oracle_select,
-    rmr_select,
     stub_response,
     synthetic_registry,
 )
@@ -111,16 +103,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AblationResult",
-    "CandidateOutput",
     "CheckpointError",
     "DISTRIBUTION_ATOL",
     "DataFormatError",
-    "DatasetLookupSource",
     "DatasetRow",
     "DivergenceError",
     "EntropyAnalysis",
     "EvalReport",
-    "FeatureVector",
     "FeaturizerConfig",
     "Gateway",
     "GatewayConfig",
@@ -128,12 +117,9 @@ __all__ = [
     "Metrics",
     "ModelRegistry",
     "ModelSpec",
-    "NoisyWrapperSource",
-    "PlantedExpertiseSource",
     "Query",
     "RewardDataset",
     "RewardRouteError",
-    "RewardSource",
     "RouterModel",
     "StubBackend",
     "SubsetScores",
@@ -147,7 +133,6 @@ __all__ = [
     "beta_ablation",
     "build_eval_report",
     "build_targets",
-    "candidate_outputs",
     "decontaminate",
     "deserialize_model",
     "enhance_labels",
@@ -173,7 +158,6 @@ __all__ = [
     "normalize_rewards",
     "oracle_select",
     "reward_entropy",
-    "rmr_select",
     "route",
     "routing_accuracy",
     "save_checkpoint",

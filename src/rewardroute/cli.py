@@ -44,7 +44,7 @@ from .errors import (
 from .evaluation import beta_ablation, evaluate_systems
 from .features import FeaturizerConfig
 from .gateway import Gateway, GatewayConfig
-from .ranking import DatasetLookupSource, SyntheticSpec, make_synthetic_benchmark
+from .ranking import SyntheticSpec, make_synthetic_benchmark
 from .rewards import aggregate_tag_rewards
 from .router import TrainConfig, init_router, route, train
 
@@ -158,8 +158,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.data, registry)
     oracle = load_oracle(args.oracle, registry)
     model = load_checkpoint(args.checkpoint) if args.checkpoint else None
-    source = DatasetLookupSource(dataset) if args.rmr else None
-    report = evaluate_systems(dataset, oracle, model=model, source=source)
+    report = evaluate_systems(dataset, oracle, model=model, rmr=args.rmr)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             for record in report.to_records():

@@ -17,25 +17,18 @@ reward-entropy vs. selection-correctness analysis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
-from scipy import stats
+from scipy import sparse, stats
 
 from .data import ModelRegistry, Query, RewardDataset
 from .errors import DataFormatError
-from .features import stable_hash
-from .ranking import (
-    RewardSource,
-    SyntheticSpec,
-    candidate_outputs,
-    make_synthetic_benchmark,
-    oracle_select,
-    rmr_select,
-)
+from .features import featurize_matrix, stable_hash
+from .ranking import SyntheticSpec, make_synthetic_benchmark, oracle_select, rmr_choice
 from .rewards import aggregate_tag_rewards, normalize_rewards, reward_entropy
-from .router import RouterModel, TrainConfig, init_router, route, train
+from .router import RouterModel, TrainConfig, _optimize, build_targets, forward, init_router
 
 
 @dataclass(frozen=True)
@@ -131,37 +124,57 @@ def _oracle_choice(query: Query, oracle: Mapping[str, np.ndarray],
     return oracle_select(query, oracle[query.id], registry)
 
 
+def _texts(dataset: RewardDataset) -> list[str]:
+    return [row.query.text for row in dataset.rows]
+
+
+def _routed_ids(model: RouterModel, x: sparse.csr_matrix) -> list[str]:
+    """The router's choice for every row of x; ties go to the lowest index."""
+    return [model.registry.ids[i] for i in np.argmax(forward(model, x), axis=1)]
+
+
+def _accuracy(routed: list[str], dataset: RewardDataset,
+              oracle: Mapping[str, np.ndarray]) -> float:
+    if len(dataset) == 0:
+        raise ValueError("cannot evaluate on an empty dataset")
+    hits = sum(
+        chosen == _oracle_choice(row.query, oracle, dataset.registry)
+        for chosen, row in zip(routed, dataset.rows)
+    )
+    return hits / len(dataset)
+
+
 def routing_accuracy(
     model: RouterModel,
     dataset: RewardDataset,
     oracle: Mapping[str, np.ndarray],
 ) -> float:
     """Fraction of queries routed to the oracle-best model."""
-    if len(dataset) == 0:
-        raise ValueError("cannot evaluate on an empty dataset")
-    hits = 0
-    for row in dataset.rows:
-        chosen, _ = route(model, row.query.text)
-        if chosen == _oracle_choice(row.query, oracle, dataset.registry):
-            hits += 1
-    return hits / len(dataset)
+    x = featurize_matrix(model.featurizer_config, _texts(dataset))
+    return _accuracy(_routed_ids(model, x), dataset, oracle)
 
 
 def evaluate_systems(
     dataset: RewardDataset,
     oracle: Mapping[str, np.ndarray],
     model: RouterModel | None = None,
-    source: RewardSource | None = None,
+    rmr: bool = False,
 ) -> EvalReport:
     """Per-subset selection-accuracy table for router / RMR / oracle / singles.
 
     Systems compared: "oracle" (always right by construction), each constant
-    "single:<model_id>" policy, optionally "router" (a trained model) and
-    "rmr" (argmax of the given reward source). Scores are the fraction of
-    subset queries whose selection matches the oracle choice, which makes
-    the report a desk-scale analog of a cross-benchmark leaderboard.
+    "single:<model_id>" policy, optionally "router" (a trained model) and,
+    with rmr=True, "rmr" (argmax of each row's recorded rewards). Scores are
+    the fraction of subset queries whose selection matches the oracle
+    choice, which makes the report a desk-scale analog of a cross-benchmark
+    leaderboard.
     """
     registry = dataset.registry
+    routed: dict[str, str] = {}
+    if model is not None:
+        x = featurize_matrix(model.featurizer_config, _texts(dataset))
+        routed = {row.query.id: chosen
+                  for row, chosen in zip(dataset.rows, _routed_ids(model, x))}
     by_subset: dict[str, list] = {}
     for row in dataset.rows:
         by_subset.setdefault(row.query.subset or "default", []).append(row)
@@ -175,15 +188,10 @@ def evaluate_systems(
             share = sum(1 for o in oracle_ids if o == model_id) / len(rows)
             scores[f"single:{model_id}"] = share
         if model is not None:
-            hits = sum(
-                1 for r, o in zip(rows, oracle_ids) if route(model, r.query.text)[0] == o
-            )
+            hits = sum(routed[r.query.id] == o for r, o in zip(rows, oracle_ids))
             scores["router"] = hits / len(rows)
-        if source is not None:
-            hits = 0
-            for r, o in zip(rows, oracle_ids):
-                chosen, _ = rmr_select(r.query, candidate_outputs(r.query, registry), source)
-                hits += chosen == o
+        if rmr:
+            hits = sum(rmr_choice(r, registry) == o for r, o in zip(rows, oracle_ids))
             scores["rmr"] = hits / len(rows)
         subsets.append(SubsetScores(subset_name=name, scores=scores))
     return build_eval_report(subsets)
@@ -252,17 +260,15 @@ def beta_ablation(
     dataset, oracle = make_synthetic_benchmark(spec)
     train_ds, eval_ds = holdout_split(dataset)
     table = aggregate_tag_rewards(train_ds)
+    model = init_router(dataset.registry, seed=base.seed)
+    x_train = featurize_matrix(model.featurizer_config, _texts(train_ds))
+    x_eval = featurize_matrix(model.featurizer_config, _texts(eval_ds))
     accuracies = []
     for b in betas:
-        config = TrainConfig(
-            learning_rate=base.learning_rate, epochs=base.epochs,
-            batch_size=base.batch_size, beta=b, temperature=base.temperature,
-            l2_penalty=base.l2_penalty, seed=base.seed, shuffle=base.shuffle,
-            reverse_kl=base.reverse_kl,
-        )
-        model = init_router(dataset.registry, seed=base.seed)
-        trained, _ = train(model, train_ds, table, config)
-        accuracies.append(routing_accuracy(trained, eval_ds, oracle))
+        config = replace(base, beta=b)
+        targets = build_targets(train_ds, table, config.beta, config.temperature)
+        trained, _ = _optimize(model, x_train, targets, config)
+        accuracies.append(_accuracy(_routed_ids(trained, x_eval), eval_ds, oracle))
     return AblationResult(
         betas=list(betas), accuracies=accuracies,
         train_rows=len(train_ds), eval_rows=len(eval_ds),
@@ -291,23 +297,21 @@ class EntropyAnalysis:
 
 def entropy_quality_analysis(
     dataset: RewardDataset,
-    source: RewardSource,
     oracle: Mapping[str, np.ndarray],
 ) -> EntropyAnalysis:
     """Does selection confidence predict correctness?
 
     For each query: Shannon entropy of the normalized reward distribution,
-    and whether reward-ranking with this source picks the oracle-best
-    model. The statistic is the Spearman rank correlation between entropy
-    and the 0/1 correctness column; a negative value means uncertain
-    (high-entropy) reward vectors mis-select more often.
+    and whether reward-ranking (argmax of the recorded rewards) picks the
+    oracle-best model. The statistic is the Spearman rank correlation
+    between entropy and the 0/1 correctness column; a negative value means
+    uncertain (high-entropy) reward vectors mis-select more often.
     """
     pairs: list[tuple[float, bool]] = []
     for row in dataset.rows:
-        outputs = candidate_outputs(row.query, dataset.registry)
-        chosen, rewards = rmr_select(row.query, outputs, source)
-        entropy = reward_entropy(normalize_rewards(rewards))
-        correct = chosen == _oracle_choice(row.query, oracle, dataset.registry)
+        entropy = reward_entropy(normalize_rewards(row.rewards))
+        correct = rmr_choice(row, dataset.registry) == _oracle_choice(
+            row.query, oracle, dataset.registry)
         pairs.append((entropy, correct))
     entropies = np.array([p[0] for p in pairs])
     correctness = np.array([float(p[1]) for p in pairs])

@@ -71,24 +71,6 @@ class FeaturizerConfig:
         )
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """Sparse L2-normalized feature vector; indices strictly increasing."""
-
-    dimension: int
-    indices: np.ndarray  # int64, sorted unique
-    weights: np.ndarray  # float64, positive
-
-    @property
-    def nnz(self) -> int:
-        return len(self.indices)
-
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros(self.dimension, dtype=np.float64)
-        dense[self.indices] = self.weights
-        return dense
-
-
 def extract_ngrams(
     text: str,
     word_range: tuple[int, int] | None,
@@ -127,37 +109,29 @@ def _hashed_counts(config: FeaturizerConfig, text: str) -> dict[int, float]:
     return counts
 
 
-def featurize(config: FeaturizerConfig, text: str) -> FeatureVector:
-    """Hash the text's n-grams into an L2-normalized sparse vector.
-
-    Empty (or whitespace-only) text yields the zero vector.
-    """
-    counts = _hashed_counts(config, text)
-    if not counts:
-        return FeatureVector(
-            dimension=config.dimension,
-            indices=np.empty(0, dtype=np.int64),
-            weights=np.empty(0, dtype=np.float64),
-        )
-    indices = np.array(sorted(counts), dtype=np.int64)
-    weights = np.array([counts[i] for i in indices], dtype=np.float64)
-    weights /= np.linalg.norm(weights)
-    return FeatureVector(dimension=config.dimension, indices=indices, weights=weights)
+def featurize(config: FeaturizerConfig, text: str) -> sparse.csr_matrix:
+    """One text as a 1 x dimension CSR row; see featurize_matrix."""
+    return featurize_matrix(config, [text])
 
 
 def featurize_matrix(config: FeaturizerConfig, texts: list[str]) -> sparse.csr_matrix:
-    """Featurize many texts into one CSR matrix of shape (len(texts), dimension)."""
-    indptr = [0]
-    all_indices: list[np.ndarray] = []
-    all_weights: list[np.ndarray] = []
+    """Hash each text's n-grams into one L2-normalized CSR row.
+
+    The result has shape (len(texts), dimension) with sorted unique column
+    indices per row. Empty (or whitespace-only) text yields an all-zero row.
+    """
+    indptr, cols, data = [0], [], []
     for text in texts:
-        vec = featurize(config, text)
-        all_indices.append(vec.indices)
-        all_weights.append(vec.weights)
-        indptr.append(indptr[-1] + vec.nnz)
-    data = np.concatenate(all_weights) if all_weights else np.empty(0)
-    cols = np.concatenate(all_indices) if all_indices else np.empty(0, dtype=np.int64)
+        counts = _hashed_counts(config, text)
+        indices = sorted(counts)
+        weights = np.array([counts[i] for i in indices], dtype=np.float64)
+        if indices:
+            weights /= np.linalg.norm(weights)
+        cols.extend(indices)
+        data.extend(weights.tolist())
+        indptr.append(len(cols))
     return sparse.csr_matrix(
-        (data, cols, np.asarray(indptr, dtype=np.int64)),
+        (np.array(data, dtype=np.float64), np.array(cols, dtype=np.int64),
+         np.array(indptr, dtype=np.int64)),
         shape=(len(texts), config.dimension),
     )

@@ -25,6 +25,7 @@ import hashlib
 import json
 import logging
 import socket
+import sys
 import threading
 import time
 import urllib.error
@@ -162,6 +163,14 @@ class _GatewayServer(ThreadingHTTPServer):
         self.gateway = gateway
         super().__init__(addr, handler)
 
+    def handle_error(self, request, client_address):
+        # A client that hangs up before its reply is written is routine, not
+        # a server fault worth a traceback on stderr.
+        if isinstance(sys.exc_info()[1], ConnectionError):
+            logger.debug("gateway: client %s disconnected early", client_address)
+            return
+        super().handle_error(request, client_address)
+
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.0"
@@ -194,6 +203,9 @@ class _Handler(BaseHTTPRequestHandler):
     def _read_json(self) -> dict | None:
         try:
             length = int(self.headers.get("Content-Length", "0"))
+            if length < 0:
+                # rfile.read(-1) would wait for EOF and pin an admission slot
+                return None
             raw = self.rfile.read(length) if length else b""
             payload = json.loads(raw.decode("utf-8")) if raw else {}
         except (ValueError, UnicodeDecodeError):

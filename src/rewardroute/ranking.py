@@ -2,9 +2,11 @@
 
 Reward model ranking (RMR) scores one candidate output per registry model
 and keeps the best-scored one; it is the strong-but-expensive baseline the
-router is compared against. Oracle selection is the upper bound: argmax of
-ground-truth preference. Desk-scale experiments run on synthetic planted-
-expertise benchmarks where the oracle is known by construction.
+router is compared against. A dataset row's recorded reward vector stands
+in for those K scores, so RMR is the argmax of that vector. Oracle
+selection is the upper bound: argmax of ground-truth preference. Desk-scale
+experiments run on synthetic planted-expertise benchmarks where the oracle
+is known by construction.
 """
 
 from __future__ import annotations
@@ -13,121 +15,17 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
 
 import numpy as np
 
 from .data import DatasetRow, ModelRegistry, Query, RewardDataset
 from .errors import DataFormatError
-from .features import stable_hash
 
 
 def stub_response(model_id: str, query_text: str) -> str:
     """Placeholder backend output: '<model_id>:<query hash>'."""
     digest = hashlib.sha256(query_text.encode("utf-8")).hexdigest()[:12]
     return f"{model_id}:{digest}"
-
-
-@dataclass(frozen=True)
-class CandidateOutput:
-    model_id: str
-    response_text: str
-    score: float | None = None
-
-
-class RewardSource:
-    """Scores all candidate outputs for one query, in registry order."""
-
-    registry: ModelRegistry
-
-    def score(self, query: Query, outputs: list[CandidateOutput]) -> np.ndarray:
-        raise NotImplementedError
-
-
-class DatasetLookupSource(RewardSource):
-    """Returns the reward vector recorded for the query in a dataset."""
-
-    def __init__(self, dataset: RewardDataset):
-        self.registry = dataset.registry
-        self._by_id = {row.query.id: row.rewards for row in dataset.rows}
-
-    def score(self, query: Query, outputs: list[CandidateOutput]) -> np.ndarray:
-        try:
-            return self._by_id[query.id]
-        except KeyError:
-            raise DataFormatError(f"no recorded rewards for query {query.id!r}") from None
-
-
-class PlantedExpertiseSource(RewardSource):
-    """Noiseless rewards from a planted tag -> expert map.
-
-    The expert model of the query's cluster scores `margin`, everyone else 0.
-    """
-
-    def __init__(self, registry: ModelRegistry, expertise: Mapping[str, str],
-                 margin: float):
-        if margin <= 0:
-            raise ValueError(f"expertise margin must be positive, got {margin}")
-        self.registry = registry
-        self.margin = margin
-        self._expert_index = {tag: registry.index_of(m) for tag, m in expertise.items()}
-
-    def score(self, query: Query, outputs: list[CandidateOutput]) -> np.ndarray:
-        rewards = np.zeros(len(self.registry), dtype=np.float64)
-        for tag in sorted(query.tags):
-            if tag in self._expert_index:
-                rewards[self._expert_index[tag]] = self.margin
-        return rewards
-
-
-class NoisyWrapperSource(RewardSource):
-    """Adds Gaussian noise to another source's rewards.
-
-    Noise is drawn from a generator seeded by (seed, hash(query id)), so the
-    same query always gets the same noisy rewards regardless of call order.
-    """
-
-    def __init__(self, inner: RewardSource, sigma: float, seed: int = 0):
-        if sigma < 0:
-            raise ValueError(f"noise sigma must be non-negative, got {sigma}")
-        self.registry = inner.registry
-        self.inner = inner
-        self.sigma = sigma
-        self.seed = seed
-
-    def score(self, query: Query, outputs: list[CandidateOutput]) -> np.ndarray:
-        base = self.inner.score(query, outputs)
-        if self.sigma == 0:
-            return base
-        rng = np.random.default_rng((self.seed, stable_hash(query.id)))
-        return base + rng.normal(0.0, self.sigma, size=len(base))
-
-
-def _check_outputs_cover_registry(outputs: list[CandidateOutput],
-                                  registry: ModelRegistry) -> None:
-    seen = [o.model_id for o in outputs]
-    missing = [m for m in registry.ids if m not in seen]
-    if missing:
-        raise DataFormatError(f"missing candidate output(s) for: {missing}")
-    extra_or_dup = [m for m in seen if seen.count(m) > 1 or m not in registry.ids]
-    if extra_or_dup:
-        raise DataFormatError(f"duplicate or unregistered output(s): {sorted(set(extra_or_dup))}")
-
-
-def rmr_select(
-    query: Query,
-    outputs: list[CandidateOutput],
-    source: RewardSource,
-) -> tuple[str, np.ndarray]:
-    """Score every candidate output and keep the argmax model.
-
-    Outputs must cover each registry model exactly once. Ties resolve to
-    the lowest registry index. Returns (model_id, full reward vector).
-    """
-    _check_outputs_cover_registry(outputs, source.registry)
-    rewards = source.score(query, outputs)
-    choice = int(np.argmax(rewards))
-    return source.registry.ids[choice], rewards
 
 
 def oracle_select(query: Query, oracle_scores: np.ndarray,
@@ -142,9 +40,13 @@ def oracle_select(query: Query, oracle_scores: np.ndarray,
     return registry.ids[int(np.argmax(scores))]
 
 
-def candidate_outputs(query: Query, registry: ModelRegistry) -> list[CandidateOutput]:
-    """Stub candidate outputs, one per registry model."""
-    return [CandidateOutput(m, stub_response(m, query.text)) for m in registry.ids]
+def rmr_choice(row: DatasetRow, registry: ModelRegistry) -> str:
+    """Reward model ranking: the model whose recorded reward is highest.
+
+    The row's reward vector stands in for scoring all K candidate outputs.
+    Ties go to the lowest registry index.
+    """
+    return registry.ids[int(np.argmax(row.rewards))]
 
 
 # ---------------------------------------------------------------------------

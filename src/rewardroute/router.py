@@ -18,7 +18,7 @@ from scipy import sparse
 
 from .data import ModelRegistry, RewardDataset
 from .errors import DivergenceError
-from .features import FeatureVector, FeaturizerConfig, featurize, featurize_matrix
+from .features import FeaturizerConfig, featurize_matrix
 from .rewards import TagRewardTable, check_distribution, enhance_labels, normalize_rewards
 
 # Probabilities are clamped here before any log, in loss and gradient alike.
@@ -125,31 +125,35 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def forward(model: RouterModel, features: FeatureVector) -> np.ndarray:
-    """Routing distribution softmax(W f + b) for one feature vector."""
-    if features.dimension != model.dimension:
+def forward(model: RouterModel, x: sparse.csr_matrix) -> np.ndarray:
+    """Routing distributions softmax(W f + b), one row per CSR row of x.
+
+    Each row's logits gather only the weight columns of its nonzeros, so a
+    single query never touches the full K x D weight matrix.
+    """
+    if x.shape[1] != model.dimension:
         raise ValueError(
-            f"feature dimension {features.dimension} does not match "
+            f"feature dimension {x.shape[1]} does not match "
             f"model dimension {model.dimension}"
         )
-    logits = model.weights[:, features.indices] @ features.weights + model.bias
-    logits = logits - logits.max()
-    e = np.exp(logits)
-    return e / e.sum()
+    logits = np.empty((x.shape[0], model.num_models), dtype=np.float64)
+    for i in range(x.shape[0]):
+        lo, hi = x.indptr[i], x.indptr[i + 1]
+        logits[i] = model.weights[:, x.indices[lo:hi]] @ x.data[lo:hi]
+    return _softmax_rows(logits + model.bias)
 
 
 def kl_loss(pred: np.ndarray, target: np.ndarray) -> float:
-    """KL(target || pred) in nats; zero target entries contribute nothing.
+    """KL(target || pred) in nats for one pair of distributions.
 
-    Prediction entries are clamped at PROB_CLAMP before the log.
+    Zero target entries contribute nothing; entries are clamped at
+    PROB_CLAMP before the log, as in training.
     """
     p = check_distribution(pred)
     t = check_distribution(target)
     if p.shape != t.shape:
         raise ValueError(f"length mismatch: pred {p.shape} vs target {t.shape}")
-    logp = np.log(np.maximum(p, PROB_CLAMP))
-    nz = t > 0
-    return float((t[nz] * (np.log(t[nz]) - logp[nz])).sum())
+    return float(_kl_rows(p[None, :], t[None, :], reverse=False)[0])
 
 
 def _kl_rows(pred: np.ndarray, target: np.ndarray, reverse: bool) -> np.ndarray:
@@ -219,8 +223,6 @@ def train(
     excluded). Raises DivergenceError when the loss goes non-finite.
     """
     config = config or TrainConfig()
-    if len(dataset) == 0:
-        raise ValueError("cannot train on an empty dataset")
     if dataset.registry.ids != model.registry.ids:
         raise ValueError("dataset registry does not match the model registry")
 
@@ -228,11 +230,24 @@ def train(
     texts = [row.query.text for row in dataset.rows]
     x = featurize_matrix(model.featurizer_config, texts)
     targets = build_targets(dataset, table, config.beta, config.temperature)
+    trained, report = _optimize(model, x, targets, config)
+    report.wall_seconds = time.perf_counter() - start
+    return trained, report
 
+
+def _optimize(
+    model: RouterModel,
+    x: sparse.csr_matrix,
+    targets: np.ndarray,
+    config: TrainConfig,
+) -> tuple[RouterModel, TrainReport]:
+    """The gradient-descent loop of train() on already featurized rows."""
+    n = x.shape[0]
+    if n == 0:
+        raise ValueError("cannot train on an empty dataset")
     rng = np.random.default_rng(config.seed)
     weights = model.weights.copy()
     bias = model.bias.copy()
-    n = len(dataset)
 
     report = TrainReport(row_count=n)
     last_finite: float | None = None
@@ -260,9 +275,7 @@ def train(
             report.epoch_losses.append(epoch_loss)
 
     report.final_loss = report.epoch_losses[-1]
-    report.wall_seconds = time.perf_counter() - start
-    trained = replace(model, weights=weights, bias=bias)
-    return trained, report
+    return replace(model, weights=weights, bias=bias), report
 
 
 def route(model: RouterModel, text: str) -> tuple[str, np.ndarray]:
@@ -270,6 +283,5 @@ def route(model: RouterModel, text: str) -> tuple[str, np.ndarray]:
 
     Ties resolve to the lowest registry index. Returns (model_id, probs).
     """
-    probs = forward(model, featurize(model.featurizer_config, text))
-    choice = int(np.argmax(probs))
-    return model.registry.ids[choice], probs
+    probs = forward(model, featurize_matrix(model.featurizer_config, [text]))[0]
+    return model.registry.ids[int(np.argmax(probs))], probs

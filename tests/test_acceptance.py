@@ -15,7 +15,6 @@ import numpy as np
 from scipy import sparse
 
 from rewardroute import (
-    DatasetLookupSource,
     FeaturizerConfig,
     Gateway,
     GatewayConfig,
@@ -256,7 +255,7 @@ def test_reward_entropy_predicts_selection_mistakes(capsys):
         seed=0,
     )
     dataset, oracle = make_synthetic_benchmark(spec)
-    analysis = entropy_quality_analysis(dataset, DatasetLookupSource(dataset), oracle)
+    analysis = entropy_quality_analysis(dataset, oracle)
     elapsed = time.perf_counter() - start
     ok = (len(dataset) >= 2000 and not analysis.degenerate
           and analysis.correlation < 0.0 and elapsed < 30.0)

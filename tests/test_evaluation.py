@@ -3,18 +3,25 @@ import pytest
 
 from rewardroute import (
     DataFormatError,
-    DatasetLookupSource,
+    DatasetRow,
+    ModelRegistry,
+    Query,
+    RewardDataset,
     SubsetScores,
     SyntheticSpec,
+    aggregate_tag_rewards,
     beta_ablation,
     build_eval_report,
     entropy_quality_analysis,
     evaluate_systems,
+    featurize_matrix,
     holdout_split,
+    init_router,
     make_synthetic_benchmark,
     mean_task_rank,
     routing_accuracy,
     subset_ranks,
+    train,
     uplift_rate,
 )
 from rewardroute.router import TrainConfig
@@ -95,7 +102,7 @@ def test_report_aggregates_match_direct_metric_calls():
 
 def test_oracle_system_always_ranks_first(tiny_benchmark):
     dataset, oracle = tiny_benchmark
-    report = evaluate_systems(dataset, oracle, source=DatasetLookupSource(dataset))
+    report = evaluate_systems(dataset, oracle, rmr=True)
     assert report.mtr["oracle"] == 1.0
     assert report.uplift["oracle"] == 1.0
 
@@ -113,6 +120,40 @@ def test_router_system_appears_when_model_given(tiny_benchmark, tiny_model):
     report = evaluate_systems(dataset, oracle, model=tiny_model)
     assert "router" in report.mtr
     assert "rmr" not in report.mtr
+
+
+def _one_row_subsets(rows):
+    """Dataset with each (rewards, oracle) row in a subset of its own."""
+    registry = ModelRegistry.from_ids(["a", "b", "c"])
+    built, oracle = [], {}
+    for i, (rewards, truth) in enumerate(rows):
+        query = Query(id=f"q{i}", text=f"query {i}", subset=f"s{i}")
+        built.append(DatasetRow(query=query, rewards=np.asarray(rewards, dtype=np.float64)))
+        oracle[query.id] = np.asarray(truth, dtype=np.float64)
+    return RewardDataset(registry=registry, rows=tuple(built)), oracle
+
+
+def _rmr_scores(report):
+    return [sub.scores["rmr"] for sub in report.subsets]
+
+
+def test_rmr_is_argmax_of_recorded_rewards():
+    dataset, oracle = _one_row_subsets([
+        ([0.1, 0.9, 0.3], [0, 1, 0]),   # picks b: right
+        ([0.8, 0.1, 0.2], [0, 0, 1]),   # picks a: wrong
+        ([0.2, 0.1, 0.7], [0, 0, 1]),   # picks c: right
+    ])
+    assert _rmr_scores(evaluate_systems(dataset, oracle, rmr=True)) == [1.0, 0.0, 1.0]
+
+
+def test_rmr_ties_go_to_lowest_index():
+    dataset, oracle = _one_row_subsets([
+        ([0.5, 0.5, 0.1], [1, 0, 0]),   # a and b tie: a
+        ([0.2, 0.7, 0.7], [0, 1, 0]),   # b and c tie: b
+        ([0.4, 0.4, 0.0], [0, 1, 0]),   # a and b tie: a, though b is right
+        ([0.3, 0.3, 0.3], [1, 0, 0]),   # all tie: a
+    ])
+    assert _rmr_scores(evaluate_systems(dataset, oracle, rmr=True)) == [1.0, 1.0, 0.0, 1.0]
 
 
 def test_routing_accuracy_bounds(tiny_benchmark, tiny_model):
@@ -174,6 +215,36 @@ def test_beta_ablation_shape_and_determinism():
     assert [r["beta"] for r in a.to_records()] == betas
 
 
+def test_beta_ablation_featurizes_each_split_once(monkeypatch):
+    import rewardroute.evaluation as evaluation
+    import rewardroute.router as router
+
+    calls = []
+
+    def counting(config, texts):
+        calls.append(len(texts))
+        return featurize_matrix(config, texts)
+
+    monkeypatch.setattr(router, "featurize_matrix", counting)
+    monkeypatch.setattr(evaluation, "featurize_matrix", counting, raising=False)
+    betas = [0.0, 0.5, 1.0]
+    config = TrainConfig(epochs=2, seed=2)
+    result = beta_ablation(TINY_SPEC, betas, config)
+    assert calls == [result.train_rows, result.eval_rows]
+    monkeypatch.undo()
+
+    # the shared featurization gives the same table as training each beta alone
+    dataset, oracle = make_synthetic_benchmark(TINY_SPEC)
+    train_ds, eval_ds = holdout_split(dataset)
+    table = aggregate_tag_rewards(train_ds)
+    expected = []
+    for b in betas:
+        model = init_router(dataset.registry, seed=config.seed)
+        trained, _ = train(model, train_ds, table, TrainConfig(epochs=2, seed=2, beta=b))
+        expected.append(routing_accuracy(trained, eval_ds, oracle))
+    assert result.accuracies == expected
+
+
 def test_beta_ablation_rejects_out_of_range():
     with pytest.raises(ValueError, match="beta"):
         beta_ablation(TINY_SPEC, [0.0, 1.2], TrainConfig(epochs=1))
@@ -193,7 +264,7 @@ def test_entropy_analysis_negative_on_noisy_planted_benchmark():
         seed=13,
     )
     dataset, oracle = make_synthetic_benchmark(spec)
-    analysis = entropy_quality_analysis(dataset, DatasetLookupSource(dataset), oracle)
+    analysis = entropy_quality_analysis(dataset, oracle)
     assert not analysis.degenerate
     assert analysis.correlation < 0
     assert len(analysis.pairs) == len(dataset)
@@ -210,6 +281,6 @@ def test_entropy_analysis_degenerate_when_noiseless():
         seed=3,
     )
     dataset, oracle = make_synthetic_benchmark(spec)
-    analysis = entropy_quality_analysis(dataset, DatasetLookupSource(dataset), oracle)
+    analysis = entropy_quality_analysis(dataset, oracle)
     assert analysis.degenerate
     assert analysis.correlation is None

@@ -1,4 +1,5 @@
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -172,6 +173,34 @@ def test_over_capacity_requests_get_503(gw_env):
     assert "capacity" in body["error"]
     assert results[0][0] == 200
     assert gw.metrics.snapshot()["errors"]["rejected"] == 1
+
+
+def test_negative_content_length_is_400_and_frees_its_slot(gw_env):
+    gw = gw_env.gateway(max_in_flight=1)
+    with socket.create_connection((gw.config.host, gw.port), timeout=5) as sock:
+        sock.sendall(b"POST /route HTTP/1.0\r\nContent-Type: application/json\r\n"
+                     b"Content-Length: -1\r\n\r\n")
+        reply = b""
+        while chunk := sock.recv(4096):  # the gateway closes once it has replied
+            reply += chunk
+        # this client still holds its socket open while the next one asks
+        status, body = _post(gw.url + "/route", {"query": "tide moon shore"})
+    assert reply.startswith(b"HTTP/1.0 400")
+    assert status == 200, body
+
+
+def test_client_disconnects_do_not_print_tracebacks(gw_env, capsys):
+    server = gw_env.gateway()._server
+    try:
+        raise ConnectionResetError("peer reset")
+    except ConnectionResetError:
+        server.handle_error(None, ("127.0.0.1", 1))
+    assert capsys.readouterr().err == ""
+    try:
+        raise RuntimeError("handler bug")
+    except RuntimeError:
+        server.handle_error(None, ("127.0.0.1", 1))
+    assert "RuntimeError: handler bug" in capsys.readouterr().err
 
 
 def test_backend_failure_without_fallback_is_502(gw_env):

@@ -5,22 +5,16 @@ import pytest
 
 from rewardroute import (
     DataFormatError,
-    DatasetLookupSource,
     ModelRegistry,
-    NoisyWrapperSource,
-    PlantedExpertiseSource,
     Query,
     SyntheticSpec,
-    candidate_outputs,
     make_synthetic_benchmark,
     oracle_select,
-    rmr_select,
     stub_response,
     synthetic_registry,
 )
-from rewardroute.ranking import CandidateOutput
 
-from conftest import TINY_SPEC, make_dataset
+from conftest import TINY_SPEC
 
 
 def test_stub_response_format():
@@ -31,51 +25,6 @@ def test_stub_response_format():
     assert stub_response("m0", text).split(":")[1] == digest
 
 
-def test_candidate_outputs_cover_registry_in_order():
-    reg = ModelRegistry.from_ids(["a", "b", "c"])
-    q = Query(id="q1", text="hello there")
-    outs = candidate_outputs(q, reg)
-    assert [o.model_id for o in outs] == ["a", "b", "c"]
-    assert all(o.response_text == stub_response(o.model_id, q.text) for o in outs)
-
-
-class _FixedSource:
-    def __init__(self, registry, rewards):
-        self.registry = registry
-        self._rewards = np.asarray(rewards, dtype=np.float64)
-
-    def score(self, query, outputs):
-        return self._rewards
-
-
-def test_rmr_select_is_argmax():
-    reg = ModelRegistry.from_ids(["a", "b", "c"])
-    q = Query(id="q1", text="anything")
-    source = _FixedSource(reg, [0.1, 0.9, 0.3])
-    chosen, rewards = rmr_select(q, candidate_outputs(q, reg), source)
-    assert chosen == "b"
-    np.testing.assert_array_equal(rewards, [0.1, 0.9, 0.3])
-
-
-def test_rmr_select_tie_breaks_to_lowest_index():
-    reg = ModelRegistry.from_ids(["a", "b", "c"])
-    q = Query(id="q1", text="anything")
-    source = _FixedSource(reg, [0.5, 0.5, 0.1])
-    chosen, _ = rmr_select(q, candidate_outputs(q, reg), source)
-    assert chosen == "a"
-
-
-def test_rmr_select_requires_full_coverage():
-    reg = ModelRegistry.from_ids(["a", "b"])
-    q = Query(id="q1", text="anything")
-    source = _FixedSource(reg, [0.5, 0.5])
-    with pytest.raises(DataFormatError, match="missing candidate"):
-        rmr_select(q, [CandidateOutput("a", "x")], source)
-    with pytest.raises(DataFormatError, match="duplicate or unregistered"):
-        rmr_select(q, [CandidateOutput("a", "x"), CandidateOutput("a", "y"),
-                       CandidateOutput("b", "z")], source)
-
-
 def test_oracle_select_argmax_and_shape_check():
     reg = ModelRegistry.from_ids(["a", "b", "c"])
     q = Query(id="q1", text="anything")
@@ -83,43 +32,6 @@ def test_oracle_select_argmax_and_shape_check():
     assert oracle_select(q, np.array([1.0, 1.0, 0.0]), reg) == "a"
     with pytest.raises(DataFormatError, match="shape"):
         oracle_select(q, np.array([1.0, 2.0]), reg)
-
-
-def test_dataset_lookup_source():
-    ds = make_dataset([("q1", "text one", (), [0.2, 0.8, 0.1])])
-    source = DatasetLookupSource(ds)
-    q = ds.rows[0].query
-    np.testing.assert_array_equal(source.score(q, []), [0.2, 0.8, 0.1])
-    with pytest.raises(DataFormatError, match="no recorded rewards"):
-        source.score(Query(id="other", text="x"), [])
-
-
-def test_planted_expertise_source_scores():
-    reg = ModelRegistry.from_ids(["a", "b", "c"])
-    source = PlantedExpertiseSource(reg, {"math": "b"}, margin=2.0)
-    scored = source.score(Query(id="q", text="x", tags=frozenset({"math"})), [])
-    np.testing.assert_array_equal(scored, [0.0, 2.0, 0.0])
-    # queries outside any known cluster get a flat zero vector
-    blank = source.score(Query(id="q2", text="x", tags=frozenset({"poetry"})), [])
-    np.testing.assert_array_equal(blank, [0.0, 0.0, 0.0])
-
-
-def test_noisy_wrapper_is_deterministic_per_query():
-    reg = ModelRegistry.from_ids(["a", "b", "c"])
-    base = PlantedExpertiseSource(reg, {"math": "a"}, margin=1.0)
-    noisy = NoisyWrapperSource(base, sigma=0.5, seed=3)
-    q1 = Query(id="q1", text="x", tags=frozenset({"math"}))
-    q2 = Query(id="q2", text="x", tags=frozenset({"math"}))
-    np.testing.assert_array_equal(noisy.score(q1, []), noisy.score(q1, []))
-    assert not np.array_equal(noisy.score(q1, []), noisy.score(q2, []))
-
-
-def test_noisy_wrapper_sigma_zero_is_identity():
-    reg = ModelRegistry.from_ids(["a", "b"])
-    base = PlantedExpertiseSource(reg, {"t": "b"}, margin=1.0)
-    noisy = NoisyWrapperSource(base, sigma=0.0)
-    q = Query(id="q1", text="x", tags=frozenset({"t"}))
-    np.testing.assert_array_equal(noisy.score(q, []), base.score(q, []))
 
 
 def test_synthetic_registry_ids():

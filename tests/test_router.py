@@ -12,6 +12,7 @@ from rewardroute import (
     aggregate_tag_rewards,
     build_targets,
     featurize,
+    featurize_matrix,
     forward,
     init_router,
     kl_loss,
@@ -115,16 +116,33 @@ def test_forward_matches_dense_softmax():
         featurizer_config=config, registry=reg,
     )
     vec = featurize(config, "check the forward pass")
-    expected = softmax(model.weights @ vec.to_dense() + model.bias)
-    np.testing.assert_allclose(forward(model, vec), expected, atol=1e-12)
+    expected = softmax(model.weights @ vec.toarray().ravel() + model.bias)
+    np.testing.assert_allclose(forward(model, vec)[0], expected, atol=1e-12)
 
 
 def test_forward_distribution_sums_to_one():
     reg = ModelRegistry.from_ids(["a", "b"])
     model = init_router(reg, FeaturizerConfig(dimension=64), seed=0)
-    probs = forward(model, featurize(model.featurizer_config, "any text"))
+    probs = forward(model, featurize(model.featurizer_config, "any text"))[0]
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all(probs > 0)
+
+
+def test_forward_rows_equal_route_bitwise(tiny_model, tiny_benchmark):
+    dataset, _ = tiny_benchmark
+    queries = [row.query.text for row in dataset.rows[:10]] + ["", "unseen words only"]
+    probs = forward(tiny_model, featurize_matrix(tiny_model.featurizer_config, queries))
+    assert probs.shape == (len(queries), tiny_model.num_models)
+    for i, query in enumerate(queries):
+        model_id, one = route(tiny_model, query)
+        assert one.tobytes() == probs[i].tobytes()
+        assert model_id == tiny_model.registry.ids[int(np.argmax(probs[i]))]
+
+
+def test_forward_rejects_dimension_mismatch(tiny_model):
+    x = featurize_matrix(FeaturizerConfig(dimension=512), ["tide moon"])
+    with pytest.raises(ValueError, match="dimension"):
+        forward(tiny_model, x)
 
 
 def test_build_targets_is_softmax_of_enhanced_rewards():
