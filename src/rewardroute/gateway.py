@@ -184,18 +184,25 @@ class _Handler(BaseHTTPRequestHandler):
     def gw(self) -> "Gateway":
         return self.server.gateway  # type: ignore[attr-defined]
 
+    # Replies are held until the request's handler has returned, so its
+    # metrics (routed, errors, in-flight release) are settled before the
+    # client can read the reply and ask /metrics about it.
+    _reply: tuple[int, str, bytes] | None = None
+
     def _send_json(self, code: int, payload: dict) -> None:
         body = json.dumps(payload).encode("utf-8")
-        self.send_response(code)
-        self.send_header("Content-Type", "application/json; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._reply = (code, "application/json; charset=utf-8", body)
 
     def _send_text(self, code: int, text: str) -> None:
-        body = text.encode("utf-8")
+        self._reply = (code, "text/plain; charset=utf-8", text.encode("utf-8"))
+
+    def _write_reply(self) -> None:
+        if self._reply is None:
+            return
+        code, content_type, body = self._reply
+        self._reply = None
         self.send_response(code)
-        self.send_header("Content-Type", "text/plain; charset=utf-8")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
@@ -213,6 +220,18 @@ class _Handler(BaseHTTPRequestHandler):
         return payload if isinstance(payload, dict) else None
 
     def do_GET(self):
+        try:
+            self._dispatch_get()
+        finally:
+            self._write_reply()
+
+    def do_POST(self):
+        try:
+            self._dispatch_post()
+        finally:
+            self._write_reply()
+
+    def _dispatch_get(self):
         if self.path == "/healthz":
             model = self.gw.model
             self._send_json(200, {"status": "ok", "models": model.num_models})
@@ -221,7 +240,7 @@ class _Handler(BaseHTTPRequestHandler):
         else:
             self._send_json(404, {"error": f"unknown path {self.path}"})
 
-    def do_POST(self):
+    def _dispatch_post(self):
         if self.path == "/route":
             self.gw.handle_route(self)
         elif self.path == "/generate":

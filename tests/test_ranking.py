@@ -13,8 +13,9 @@ from rewardroute import (
     stub_response,
     synthetic_registry,
 )
+from rewardroute.ranking import rmr_choice
 
-from conftest import TINY_SPEC
+from conftest import TINY_SPEC, make_dataset
 
 
 def test_stub_response_format():
@@ -23,6 +24,27 @@ def test_stub_response_format():
     assert stub_response("m3", text) == f"m3:{digest}"
     # same query, different model: same digest, different prefix
     assert stub_response("m0", text).split(":")[1] == digest
+
+
+def test_rmr_select_is_argmax():
+    ds = make_dataset([
+        ("q1", "anything", (), [0.1, 0.9, 0.3]),
+        ("q2", "anything", (), [0.5, 0.5, 0.1]),   # tie: lowest index wins
+        ("q3", "anything", (), [0.0, 0.2, 0.4]),
+    ])
+    assert [rmr_choice(row, ds.registry) for row in ds.rows] == ["beta", "alpha", "gamma"]
+
+
+def test_dataset_lookup_source():
+    # RMR's scores are the dataset row's recorded rewards, row by row,
+    # so the pick follows the rewards stored with each query.
+    ds = make_dataset([("q1", "text one", (), [0.2, 0.8, 0.1]),
+                       ("q2", "text two", (), [0.7, 0.1, 0.1])])
+    np.testing.assert_array_equal(ds.reward_matrix(), [[0.2, 0.8, 0.1], [0.7, 0.1, 0.1]])
+    assert rmr_choice(ds.rows[0], ds.registry) == "beta"
+    assert rmr_choice(ds.rows[1], ds.registry) == "alpha"
+    with pytest.raises(DataFormatError, match="registry has 3 models"):
+        make_dataset([("q1", "text one", (), [0.2, 0.8])])
 
 
 def test_oracle_select_argmax_and_shape_check():
