@@ -68,7 +68,7 @@ from .features import (
     fnv1a_64,
     stable_hash,
 )
-from .gateway import Gateway, GatewayConfig, Metrics, serve
+from .gateway import Gateway, GatewayConfig
 from .ranking import (
     SyntheticSpec,
     make_synthetic_benchmark,
@@ -114,7 +114,6 @@ __all__ = [
     "Gateway",
     "GatewayConfig",
     "GatewayError",
-    "Metrics",
     "ModelRegistry",
     "ModelSpec",
     "Query",
@@ -165,7 +164,6 @@ __all__ = [
     "save_oracle",
     "save_registry",
     "serialize_model",
-    "serve",
     "stable_hash",
     "stub_response",
     "subset_ranks",

@@ -21,16 +21,17 @@ immediately instead of queuing.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import logging
-import socket
 import sys
 import threading
 import time
 import urllib.error
 import urllib.request
 import uuid
+from collections import deque
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -91,15 +92,21 @@ class GatewayConfig:
         )
 
 
+# The /metrics quantiles cover only the last LATENCY_WINDOW successful
+# /generate requests: every scrape sorts the window under the lock that every
+# request takes, so its cost must not grow with uptime.
+LATENCY_WINDOW = 4096
+
+
 class Metrics:
-    """Monotone counters plus a latency reservoir, updated under one lock."""
+    """Monotone counters, the in-flight gauge and a bounded latency window, under one lock."""
 
     def __init__(self):
         self._lock = threading.Lock()
         self.routed: dict[str, int] = {}
         self.errors: dict[str, int] = {}
         self.in_flight = 0
-        self._latencies_ms: list[float] = []
+        self._latencies_ms: deque[float] = deque(maxlen=LATENCY_WINDOW)
 
     def record_routed(self, model_id: str) -> None:
         with self._lock:
@@ -113,9 +120,14 @@ class Metrics:
         with self._lock:
             self._latencies_ms.append(ms)
 
-    def enter(self) -> None:
+    def admit(self, limit: int) -> bool:
+        """Take an in-flight slot if fewer than `limit` are taken, else count a rejection."""
         with self._lock:
+            if self.in_flight >= limit:
+                self.errors["rejected"] = self.errors.get("rejected", 0) + 1
+                return False
             self.in_flight += 1
+            return True
 
     def leave(self) -> None:
         with self._lock:
@@ -173,45 +185,20 @@ class _GatewayServer(ThreadingHTTPServer):
 
 
 class _Handler(BaseHTTPRequestHandler):
+    """Reads a request, asks the gateway for its reply and writes that once."""
+
     protocol_version = "HTTP/1.0"
 
-    # Route table filled in do_GET/do_POST; BaseHTTPRequestHandler logging is
-    # redirected to the module logger to keep test output quiet.
+    # BaseHTTPRequestHandler logging goes to the module logger to keep test
+    # output quiet.
     def log_message(self, fmt, *args):
         logger.debug("gateway: " + fmt, *args)
-
-    @property
-    def gw(self) -> "Gateway":
-        return self.server.gateway  # type: ignore[attr-defined]
-
-    # Replies are held until the request's handler has returned, so its
-    # metrics (routed, errors, in-flight release) are settled before the
-    # client can read the reply and ask /metrics about it.
-    _reply: tuple[int, str, bytes] | None = None
-
-    def _send_json(self, code: int, payload: dict) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self._reply = (code, "application/json; charset=utf-8", body)
-
-    def _send_text(self, code: int, text: str) -> None:
-        self._reply = (code, "text/plain; charset=utf-8", text.encode("utf-8"))
-
-    def _write_reply(self) -> None:
-        if self._reply is None:
-            return
-        code, content_type, body = self._reply
-        self._reply = None
-        self.send_response(code)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
 
     def _read_json(self) -> dict | None:
         try:
             length = int(self.headers.get("Content-Length", "0"))
             if length < 0:
-                # rfile.read(-1) would wait for EOF and pin an admission slot
+                # rfile.read(-1) would wait for EOF
                 return None
             raw = self.rfile.read(length) if length else b""
             payload = json.loads(raw.decode("utf-8")) if raw else {}
@@ -219,46 +206,34 @@ class _Handler(BaseHTTPRequestHandler):
             return None
         return payload if isinstance(payload, dict) else None
 
+    def _write(self, code: int, body: dict | str) -> None:
+        if isinstance(body, str):
+            content_type, data = "text/plain; charset=utf-8", body.encode("utf-8")
+        else:
+            content_type, data = "application/json; charset=utf-8", json.dumps(body).encode("utf-8")
+        self.send_response(code)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
     def do_GET(self):
-        try:
-            self._dispatch_get()
-        finally:
-            self._write_reply()
+        self._write(*self.server.gateway.handle_get(self.path))
 
     def do_POST(self):
-        try:
-            self._dispatch_post()
-        finally:
-            self._write_reply()
-
-    def _dispatch_get(self):
-        if self.path == "/healthz":
-            model = self.gw.model
-            self._send_json(200, {"status": "ok", "models": model.num_models})
-        elif self.path == "/metrics":
-            self._send_text(200, self.gw.metrics.render_text())
-        else:
-            self._send_json(404, {"error": f"unknown path {self.path}"})
-
-    def _dispatch_post(self):
-        if self.path == "/route":
-            self.gw.handle_route(self)
-        elif self.path == "/generate":
-            self.gw.handle_generate(self)
-        elif self.path == "/admin/reload":
-            self.gw.handle_reload(self)
-        else:
-            self._send_json(404, {"error": f"unknown path {self.path}"})
+        # The body is read before admission: a client that trickles its body
+        # holds this handler thread, never an admission slot.
+        payload = self._read_json()
+        self._write(*self.server.gateway.handle_post(self.path, payload))
 
 
 class Gateway:
-    """A running (or startable) routing service; use serve() or start()/shutdown()."""
+    """A running (or startable) routing service; use start()/shutdown() or serve_forever()."""
 
     def __init__(self, config: GatewayConfig):
         self.config = config
         self._model = self._load_and_check(config.checkpoint_path)
         self.metrics = Metrics()
-        self._admission = threading.Semaphore(config.max_in_flight)
         self._log_lock = threading.Lock()
         self._server: _GatewayServer | None = None
         self._thread: threading.Thread | None = None
@@ -342,55 +317,57 @@ class Gateway:
 
     # -- request handling ----------------------------------------------------
 
-    def _admit(self, handler: _Handler) -> bool:
-        if not self._admission.acquire(blocking=False):
-            self.metrics.record_error("rejected")
-            handler._send_json(503, {"error": "over capacity"})
-            return False
-        self.metrics.enter()
-        return True
+    def handle_get(self, path: str) -> tuple[int, dict | str]:
+        if path == "/healthz":
+            return 200, {"status": "ok", "models": self.model.num_models}
+        if path == "/metrics":
+            return 200, self.metrics.render_text()
+        return 404, {"error": f"unknown path {path}"}
 
-    def _release(self) -> None:
-        self.metrics.leave()
-        self._admission.release()
+    def handle_post(self, path: str, payload: dict | None) -> tuple[int, dict]:
+        """Reply to a POST whose body is `payload` (None: not a JSON object).
 
-    @staticmethod
-    def _extract_query(handler: _Handler) -> str | None:
-        payload = handler._read_json()
-        if payload is None:
-            handler._send_json(400, {"error": "body must be a JSON object"})
-            return None
-        text = payload.get("query")
-        if not isinstance(text, str) or not text.strip():
-            handler._send_json(400, {"error": "missing or empty 'query'"})
-            return None
-        return text
+        The admission slot is released before this returns, so a request's
+        metrics are settled before its client can read the reply.
+        """
+        if path == "/admin/reload":
+            if payload is None or not isinstance(payload.get("checkpoint_path"), str):
+                return 400, {"error": "need {'checkpoint_path': ...}"}
+            try:
+                model = self.reload_checkpoint(payload["checkpoint_path"])
+            except Exception as exc:
+                return 400, {"error": f"reload failed: {exc}"}
+            return 200, {"status": "reloaded", "models": model.num_models}
+        if path not in ("/route", "/generate"):
+            return 404, {"error": f"unknown path {path}"}
+        if not self.metrics.admit(self.config.max_in_flight):
+            return 503, {"error": "over capacity"}
+        started = time.perf_counter()
+        try:
+            text = payload.get("query") if payload is not None else None
+            if not isinstance(text, str) or not text.strip():
+                self.metrics.record_error("bad_request")
+                error = "body must be a JSON object" if payload is None else "missing or empty 'query'"
+                return 400, {"error": error}
+            if path == "/route":
+                model_id, probs = self._decide(self.model, text)
+                return 200, {
+                    "model_id": model_id,
+                    "distribution": probs,
+                    "request_id": uuid.uuid4().hex,
+                }
+            return self._generate(text, started)
+        finally:
+            self.metrics.leave()
 
     def _decide(self, model: RouterModel, text: str) -> tuple[str, list[float]]:
         model_id, probs = route(model, text)
         self.metrics.record_routed(model_id)
         return model_id, [float(p) for p in probs]
 
-    def handle_route(self, handler: _Handler) -> None:
-        if not self._admit(handler):
-            return
-        try:
-            text = self._extract_query(handler)
-            if text is None:
-                self.metrics.record_error("bad_request")
-                return
-            model_id, probs = self._decide(self.model, text)
-            handler._send_json(200, {
-                "model_id": model_id,
-                "distribution": probs,
-                "request_id": uuid.uuid4().hex,
-            })
-        finally:
-            self._release()
-
-    def _call_backend(self, endpoint: str, text: str) -> str:
+    def _call_backend(self, model_id: str, text: str) -> str:
         req = urllib.request.Request(
-            endpoint,
+            self.config.registry.endpoint_for(model_id),
             data=json.dumps({"query": text}).encode("utf-8"),
             headers={"Content-Type": "application/json"},
             method="POST",
@@ -404,73 +381,44 @@ class Gateway:
             raise BackendError("backend response has no 'text' field")
         return str(payload["text"])
 
-    def handle_generate(self, handler: _Handler) -> None:
-        if not self._admit(handler):
-            return
-        started = time.perf_counter()
+    def _generate(self, text: str, started: float) -> tuple[int, dict]:
+        model = self.model     # one snapshot for the whole request
+        request_id = uuid.uuid4().hex
+        model_id, probs = self._decide(model, text)
+        served_by, status, response_text = model_id, "ok", None
+        fallback = self.config.fallback_model_id
         try:
-            text = self._extract_query(handler)
-            if text is None:
-                self.metrics.record_error("bad_request")
-                return
-            model = self.model     # one snapshot for the whole request
-            request_id = uuid.uuid4().hex
-            model_id, probs = self._decide(model, text)
-            served_by, status, failover = model_id, "ok", False
-            response_text: str | None = None
-            try:
-                endpoint = self.config.registry.endpoint_for(model_id)
-                response_text = self._call_backend(endpoint, text)
-            except BackendTimeout:
-                self.metrics.record_error("timeout")
-                status = "timeout"
-            except BackendError as exc:
-                fallback = self.config.fallback_model_id
-                if fallback is not None and fallback != model_id:
-                    try:
-                        endpoint = self.config.registry.endpoint_for(fallback)
-                        response_text = self._call_backend(endpoint, text)
-                        served_by, status, failover = fallback, "ok", True
-                        self.metrics.record_error("failover")
-                    except (BackendError, BackendTimeout):
-                        self.metrics.record_error("backend")
-                        status = f"backend_error: {exc}"
-                else:
-                    self.metrics.record_error("backend")
-                    status = f"backend_error: {exc}"
+            response_text = self._call_backend(model_id, text)
+        except BackendTimeout:
+            status = "timeout"     # a slow query is not retried on a second backend
+        except BackendError as exc:
+            status = f"backend_error: {exc}"
+            if fallback is not None and fallback != model_id:
+                with contextlib.suppress(BackendError):
+                    response_text = self._call_backend(fallback, text)
+                    served_by, status = fallback, "ok"
+        failover = served_by != model_id
+        if failover:
+            self.metrics.record_error("failover")
+        elif response_text is None:
+            self.metrics.record_error("timeout" if status == "timeout" else "backend")
 
-            latency_ms = (time.perf_counter() - started) * 1000.0
-            self._append_route_record(request_id, text, model_id, served_by,
-                                      probs, latency_ms, status, failover)
-            if response_text is None:
-                code = 504 if status == "timeout" else 502
-                handler._send_json(code, {
-                    "error": status,
-                    "model_id": model_id,
-                    "request_id": request_id,
-                })
-                return
-            self.metrics.record_latency(latency_ms)
-            handler._send_json(200, {
-                "model_id": served_by,
-                "text": response_text,
+        latency_ms = (time.perf_counter() - started) * 1000.0
+        self._append_route_record(request_id, text, model_id, served_by,
+                                  probs, latency_ms, status, failover)
+        if response_text is None:
+            return (504 if status == "timeout" else 502), {
+                "error": status,
+                "model_id": model_id,
                 "request_id": request_id,
-                "latency_ms": latency_ms,
-            })
-        finally:
-            self._release()
-
-    def handle_reload(self, handler: _Handler) -> None:
-        payload = handler._read_json()
-        if payload is None or not isinstance(payload.get("checkpoint_path"), str):
-            handler._send_json(400, {"error": "need {'checkpoint_path': ...}"})
-            return
-        try:
-            model = self.reload_checkpoint(payload["checkpoint_path"])
-        except Exception as exc:
-            handler._send_json(400, {"error": f"reload failed: {exc}"})
-            return
-        handler._send_json(200, {"status": "reloaded", "models": model.num_models})
+            }
+        self.metrics.record_latency(latency_ms)
+        return 200, {
+            "model_id": served_by,
+            "text": response_text,
+            "request_id": request_id,
+            "latency_ms": latency_ms,
+        }
 
     def _append_route_record(self, request_id, text, model_id, served_by,
                              probs, latency_ms, status, failover) -> None:
@@ -500,17 +448,7 @@ class BackendTimeout(BackendError):
 
 
 def _classify_backend_error(exc: Exception) -> Exception:
-    if isinstance(exc, (socket.timeout, TimeoutError)):
-        return BackendTimeout(str(exc) or "timed out")
-    if isinstance(exc, urllib.error.URLError):
-        if isinstance(getattr(exc, "reason", None), (socket.timeout, TimeoutError)):
-            return BackendTimeout(str(exc.reason))
-        return BackendError(str(exc.reason if hasattr(exc, "reason") else exc))
-    return BackendError(str(exc))
-
-
-def serve(config: GatewayConfig) -> Gateway:
-    """Construct and start a gateway; returns the running handle."""
-    gw = Gateway(config)
-    gw.start()
-    return gw
+    reason = exc.reason if isinstance(exc, urllib.error.URLError) else exc
+    if isinstance(reason, TimeoutError):    # socket.timeout is TimeoutError
+        return BackendTimeout(str(reason) or "timed out")
+    return BackendError(str(reason))

@@ -75,7 +75,6 @@ class TrainConfig:
     temperature: float = 1.0
     l2_penalty: float = 1e-6
     seed: int = 0
-    shuffle: bool = True
     # Ablation switch: distill KL(pred || target) instead of KL(target || pred).
     reverse_kl: bool = False
 
@@ -254,7 +253,7 @@ def _optimize(
     # Overflow is handled by the explicit finiteness check below, not warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(config.epochs):
-            order = rng.permutation(n) if config.shuffle else np.arange(n)
+            order = rng.permutation(n)
             for lo in range(0, n, config.batch_size):
                 idx = order[lo:lo + config.batch_size]
                 _, grad_w, grad_b = kl_objective(

@@ -6,12 +6,14 @@ subprocess to cover signal handling.
 """
 
 import json
+import os
 import signal
 import socket
 import subprocess
 import sys
 import time
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -213,6 +215,19 @@ def test_serve_on_occupied_port_exits_runtime_error(tmp_path, ckpt, capsys):
     err = capsys.readouterr().err
     assert code == EXIT_RUNTIME
     assert "bind" in err
+
+
+def test_serving_does_not_import_scipy_stats():
+    # scipy.stats is most of the CLI's import time and serving never uses it
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, rewardroute.cli; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------

@@ -189,6 +189,20 @@ def test_negative_content_length_is_400_and_frees_its_slot(gw_env):
     assert status == 200, body
 
 
+def test_partial_body_does_not_hold_an_admission_slot(gw_env):
+    gw = gw_env.gateway(max_in_flight=1)
+    sock = socket.create_connection((gw.config.host, gw.port), timeout=5)
+    try:
+        sock.sendall(b"POST /route HTTP/1.0\r\nContent-Type: application/json\r\n"
+                     b"Content-Length: 100\r\n\r\n" + b'{"query": ')
+        time.sleep(0.1)  # the gateway is now waiting for the other 90 bytes
+        status, body = _post(gw.url + "/route", {"query": "tide moon shore"})
+        assert status == 200, body
+        assert gw.metrics.snapshot()["in_flight"] == 0
+    finally:
+        sock.close()  # shutdown joins the handler thread still reading this body
+
+
 def test_client_disconnects_do_not_print_tracebacks(gw_env, capsys):
     server = gw_env.gateway()._server
     try:
@@ -239,6 +253,33 @@ def test_backend_failure_uses_fallback_when_configured(gw_env, ckpt, tmp_path):
     assert record["served_by"] == fallback
     assert record["failover"] is True
     assert record["status"] == "ok"
+
+
+def test_failed_fallback_is_502_with_the_primary_error(gw_env, ckpt, tmp_path):
+    model = load_checkpoint(ckpt)
+    query = "tide moon shore ebb"
+    primary, _ = route(model, query)
+    fallback = next(m for m in model.registry.ids if m != primary)
+    gw_env.backends[primary].fail = True
+    gw_env.backends[fallback].delay_ms = 600   # the fallback times out
+    log_path = tmp_path / "routes.jsonl"
+    gw = gw_env.gateway(timeout_ms=150, fallback_model_id=fallback,
+                        route_log_path=str(log_path))
+
+    status, body = _post(gw.url + "/generate", {"query": query})
+    assert status == 502
+    assert body["model_id"] == primary
+    assert gw_env.backends[primary].hits == 1
+    snap = gw.metrics.snapshot()
+    assert snap["errors"]["backend"] == 1
+    assert "failover" not in snap["errors"] and "timeout" not in snap["errors"]
+
+    record = json.loads(log_path.read_text().splitlines()[0])
+    assert record["model_id"] == primary
+    assert record["served_by"] == primary
+    assert record["failover"] is False
+    assert record["status"].startswith("backend_error:")
+    assert body["error"] == record["status"]
 
 
 def test_timeout_is_504_and_skips_fallback(gw_env, ckpt):
@@ -422,3 +463,13 @@ def test_gateway_config_validation(tmp_path, gw_env, ckpt):
         GatewayConfig(checkpoint_path=ckpt, registry=gw_env.registry(), timeout_ms=0)
     with pytest.raises(GatewayError, match="max_in_flight"):
         GatewayConfig(checkpoint_path=ckpt, registry=gw_env.registry(), max_in_flight=0)
+
+
+def test_latency_window_keeps_only_recent_requests():
+    from rewardroute.gateway import LATENCY_WINDOW, Metrics
+
+    metrics = Metrics()
+    for ms in (1000.0, 1.0):
+        for _ in range(LATENCY_WINDOW):
+            metrics.record_latency(ms)
+    assert metrics.snapshot()["latency_ms_p95"] == 1.0
