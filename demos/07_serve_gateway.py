@@ -23,8 +23,6 @@ from rewardroute import (
     FeaturizerConfig,
     Gateway,
     GatewayConfig,
-    ModelRegistry,
-    ModelSpec,
     StubBackend,
     TrainConfig,
     aggregate_tag_rewards,
@@ -62,12 +60,9 @@ backends = [StubBackend(m).start() for m in registry.ids]
 for b in backends:
     print(f"stub backend {b.model_id} at {b.endpoint}")
 
-serving_registry = ModelRegistry(models=tuple(
-    ModelSpec(model_id=b.model_id, endpoint=b.endpoint) for b in backends
-))
 gateway = Gateway(GatewayConfig(
     checkpoint_path=str(ckpt),
-    registry=serving_registry,
+    endpoints={b.model_id: b.endpoint for b in backends},
     port=0,                                  # pick any free port
     route_log_path=str(workdir / "routes.jsonl"),
 ))

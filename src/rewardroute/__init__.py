@@ -20,7 +20,6 @@ from .data import (
     UNTAGGED,
     DatasetRow,
     ModelRegistry,
-    ModelSpec,
     Query,
     RewardDataset,
     apply_tag_rules,
@@ -115,7 +114,6 @@ __all__ = [
     "GatewayConfig",
     "GatewayError",
     "ModelRegistry",
-    "ModelSpec",
     "Query",
     "RewardDataset",
     "RewardRouteError",

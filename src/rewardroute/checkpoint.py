@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import ModelRegistry, ModelSpec
+from .data import ModelRegistry
 from .errors import CheckpointError
 from .features import FeaturizerConfig
 from .router import MODEL_FORMAT_VERSION, RouterModel
@@ -34,21 +34,12 @@ _DIGEST_SIZE = 32
 
 
 def _registry_to_dict(registry: ModelRegistry) -> list[dict]:
-    return [
-        {"model_id": m.model_id, "endpoint": m.endpoint, "display_name": m.display_name}
-        for m in registry
-    ]
+    return [{"model_id": model_id} for model_id in registry.ids]
 
 
 def _registry_from_dict(entries: list[dict]) -> ModelRegistry:
-    return ModelRegistry(tuple(
-        ModelSpec(
-            model_id=e["model_id"],
-            endpoint=e.get("endpoint"),
-            display_name=e.get("display_name"),
-        )
-        for e in entries
-    ))
+    # Other keys (older checkpoints also carry "endpoint"/"display_name") are ignored.
+    return ModelRegistry(tuple(e["model_id"] for e in entries))
 
 
 def serialize_model(model: RouterModel) -> bytes:

@@ -34,7 +34,7 @@ from .data import (
     save_oracle,
     save_registry,
 )
-from .decontamination import decontaminate, find_contaminated
+from .decontamination import find_contaminated
 from .errors import (
     CheckpointError,
     DataFormatError,
@@ -109,7 +109,10 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             if line.strip()
         ]
         removed = find_contaminated(dataset, benchmark_queries)
-        dataset, _ = decontaminate(dataset, benchmark_queries)
+        removed_ids = {qid for qid, _ in removed}
+        dataset = dataset.with_rows(
+            row for row in dataset.rows if row.query.id not in removed_ids
+        )
     save_dataset(dataset, args.out)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:

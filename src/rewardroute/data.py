@@ -40,31 +40,19 @@ class Query:
 
 
 @dataclass(frozen=True)
-class ModelSpec:
-    """One candidate backend in the registry."""
-
-    model_id: str
-    endpoint: str | None = None
-    display_name: str | None = None
-
-    @property
-    def label(self) -> str:
-        return self.display_name or self.model_id
-
-
-@dataclass(frozen=True)
 class ModelRegistry:
-    """Ordered, canonical list of candidate models.
+    """Ordered, canonical tuple of candidate model ids.
 
     The order is fixed: reward vectors, routing distributions, and router
-    weight rows all index models by their position here.
+    weight rows all index models by their position here. Where each model
+    is served is a deployment setting, kept in the gateway config.
     """
 
-    models: tuple[ModelSpec, ...]
+    ids: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "models", tuple(self.models))
-        ids = [m.model_id for m in self.models]
+        ids = tuple(self.ids)
+        object.__setattr__(self, "ids", ids)
         if len(set(ids)) != len(ids):
             dupes = sorted({i for i in ids if ids.count(i) > 1})
             raise DataFormatError(f"duplicate model_id(s) in registry: {dupes}")
@@ -72,27 +60,13 @@ class ModelRegistry:
             raise DataFormatError("registry has no models")
 
     def __len__(self) -> int:
-        return len(self.models)
-
-    def __iter__(self):
-        return iter(self.models)
-
-    @property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(m.model_id for m in self.models)
+        return len(self.ids)
 
     def index_of(self, model_id: str) -> int:
         try:
             return self.ids.index(model_id)
         except ValueError:
             raise DataFormatError(f"unknown model_id {model_id!r}") from None
-
-    def endpoint_for(self, model_id: str) -> str | None:
-        return self.models[self.index_of(model_id)].endpoint
-
-    @classmethod
-    def from_ids(cls, ids: Iterable[str]) -> "ModelRegistry":
-        return cls(tuple(ModelSpec(model_id=i) for i in ids))
 
 
 @dataclass(frozen=True)
@@ -136,9 +110,6 @@ class RewardDataset:
     def __iter__(self):
         return iter(self.rows)
 
-    def queries(self) -> list[Query]:
-        return [row.query for row in self.rows]
-
     def reward_matrix(self) -> np.ndarray:
         """All reward vectors stacked into an (N, K) float64 matrix."""
         return np.stack([row.rewards for row in self.rows])
@@ -151,8 +122,12 @@ class RewardDataset:
 # registry / dataset / oracle file IO
 # ---------------------------------------------------------------------------
 
-def load_registry(path: str | Path) -> ModelRegistry:
-    """Read a registry JSON file: {"models": [{"model_id": ...}, ...]}."""
+def read_registry_file(path: str | Path) -> tuple[ModelRegistry, list[dict]]:
+    """Parse a registry JSON file into its registry and its raw entries, in order.
+
+    The file is {"models": [{"model_id": ...}, ...]}; keys other than
+    "model_id" are left in the entries for the caller that needs them.
+    """
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
@@ -160,31 +135,22 @@ def load_registry(path: str | Path) -> ModelRegistry:
         raise DataFormatError(f"cannot read registry file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"registry file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict) or "models" not in raw:
+    if not isinstance(raw, dict) or not isinstance(raw.get("models"), list):
         raise DataFormatError(f"registry file {path} must contain a 'models' list")
-    models = []
-    for i, entry in enumerate(raw["models"]):
+    entries = raw["models"]
+    for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or "model_id" not in entry:
             raise DataFormatError(f"registry file {path}: entry {i} has no 'model_id'")
-        models.append(
-            ModelSpec(
-                model_id=str(entry["model_id"]),
-                endpoint=entry.get("endpoint"),
-                display_name=entry.get("display_name"),
-            )
-        )
-    return ModelRegistry(tuple(models))
+    return ModelRegistry(tuple(str(e["model_id"]) for e in entries)), entries
+
+
+def load_registry(path: str | Path) -> ModelRegistry:
+    """Read the ordered model ids of a registry JSON file."""
+    return read_registry_file(path)[0]
 
 
 def save_registry(registry: ModelRegistry, path: str | Path) -> None:
-    entries = []
-    for m in registry:
-        entry: dict = {"model_id": m.model_id}
-        if m.endpoint is not None:
-            entry["endpoint"] = m.endpoint
-        if m.display_name is not None:
-            entry["display_name"] = m.display_name
-        entries.append(entry)
+    entries = [{"model_id": model_id} for model_id in registry.ids]
     Path(path).write_text(
         json.dumps({"models": entries}, indent=2, sort_keys=False) + "\n",
         encoding="utf-8",

@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import load_checkpoint
-from .data import ModelRegistry, load_registry
+from .data import read_registry_file
 from .errors import DataFormatError, GatewayError
 from .router import RouterModel, route
 
@@ -49,7 +49,7 @@ logger = logging.getLogger(__name__)
 @dataclass
 class GatewayConfig:
     checkpoint_path: str
-    registry: ModelRegistry
+    endpoints: dict[str, str]      # model_id -> backend URL
     host: str = "127.0.0.1"
     port: int = 8080
     timeout_ms: int = 30000
@@ -80,9 +80,18 @@ class GatewayConfig:
             q = Path(p)
             return str(q if q.is_absolute() else base / q)
 
+        registry_path = _resolve(raw["registry"])
+        registry, entries = read_registry_file(registry_path)
+        endpoints = {m: e["endpoint"] for m, e in zip(registry.ids, entries)
+                     if e.get("endpoint") is not None}
+        bad = [m for m, endpoint in endpoints.items() if not isinstance(endpoint, str)]
+        if bad:
+            raise DataFormatError(
+                f"registry file {registry_path}: endpoint of {bad} is not a string"
+            )
         return cls(
             checkpoint_path=_resolve(raw["checkpoint"]),
-            registry=load_registry(_resolve(raw["registry"])),
+            endpoints=endpoints,
             host=raw.get("host", "127.0.0.1"),
             port=int(raw.get("port", 8080)),
             timeout_ms=int(raw.get("timeout_ms", 30000)),
@@ -166,22 +175,28 @@ def query_hash(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
-class _GatewayServer(ThreadingHTTPServer):
-    daemon_threads = False      # handler threads are joined on close (graceful drain)
-    block_on_close = True
-    request_queue_size = 256
+class _HTTPServer(ThreadingHTTPServer):
+    """The gateway's and the stub backend's server: a deep backlog, quiet hang-ups."""
 
-    def __init__(self, addr, handler, gateway: "Gateway"):
-        self.gateway = gateway
-        super().__init__(addr, handler)
+    request_queue_size = 256
 
     def handle_error(self, request, client_address):
         # A client that hangs up before its reply is written is routine, not
         # a server fault worth a traceback on stderr.
         if isinstance(sys.exc_info()[1], ConnectionError):
-            logger.debug("gateway: client %s disconnected early", client_address)
+            logger.debug("%s: client %s disconnected early",
+                         type(self).__name__, client_address)
             return
         super().handle_error(request, client_address)
+
+
+class _GatewayServer(_HTTPServer):
+    daemon_threads = False      # handler threads are joined on close (graceful drain)
+    block_on_close = True
+
+    def __init__(self, addr, handler, gateway: "Gateway"):
+        self.gateway = gateway
+        super().__init__(addr, handler)
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -193,6 +208,14 @@ class _Handler(BaseHTTPRequestHandler):
     # output quiet.
     def log_message(self, fmt, *args):
         logger.debug("gateway: " + fmt, *args)
+
+    def setup(self):
+        # Every read and write on the client socket is bounded by timeout_ms,
+        # so a client that stalls mid-request is dropped (handle_one_request
+        # closes on TimeoutError) instead of holding this thread, and
+        # shutdown(), which joins it, forever.
+        self.timeout = self.server.gateway.config.timeout_ms / 1000.0
+        super().setup()
 
     def _read_json(self) -> dict | None:
         try:
@@ -246,8 +269,7 @@ class Gateway:
 
     def _load_and_check(self, checkpoint_path: str) -> RouterModel:
         model = load_checkpoint(checkpoint_path)
-        missing = [m for m in model.registry.ids
-                   if self.config.registry.endpoint_for(m) is None]
+        missing = [m for m in model.registry.ids if m not in self.config.endpoints]
         if missing:
             raise GatewayError(
                 f"no endpoint configured for model(s) {missing}; every model the "
@@ -367,7 +389,7 @@ class Gateway:
 
     def _call_backend(self, model_id: str, text: str) -> str:
         req = urllib.request.Request(
-            self.config.registry.endpoint_for(model_id),
+            self.config.endpoints[model_id],
             data=json.dumps({"query": text}).encode("utf-8"),
             headers={"Content-Type": "application/json"},
             method="POST",

@@ -114,7 +114,7 @@ class SyntheticSpec:
 
 
 def synthetic_registry(num_models: int) -> ModelRegistry:
-    return ModelRegistry.from_ids([f"m{i}" for i in range(num_models)])
+    return ModelRegistry(tuple(f"m{i}" for i in range(num_models)))
 
 
 def make_synthetic_benchmark(

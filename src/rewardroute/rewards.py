@@ -74,12 +74,6 @@ class TagRewardTable:
     def tag_reward(self, tag: str) -> np.ndarray:
         return self.means.get(tag, self.global_mean)
 
-    def __contains__(self, tag: str) -> bool:
-        return tag in self.means
-
-    def tags(self) -> list[str]:
-        return sorted(self.means)
-
 
 def aggregate_tag_rewards(dataset: RewardDataset) -> TagRewardTable:
     """Group reward vectors by tag and average them.

@@ -18,16 +18,16 @@ import json
 import logging
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler
 
+from .gateway import _HTTPServer
 from .ranking import stub_response
 
 logger = logging.getLogger(__name__)
 
 
-class _StubServer(ThreadingHTTPServer):
+class _StubServer(_HTTPServer):
     daemon_threads = True
-    request_queue_size = 256
 
     def __init__(self, addr, handler, backend: "StubBackend"):
         self.backend = backend

@@ -4,7 +4,6 @@ import pytest
 from rewardroute import (
     DatasetRow,
     ModelRegistry,
-    ModelSpec,
     Query,
     RewardDataset,
     SyntheticSpec,
@@ -32,7 +31,7 @@ def sample_dataset(sample_registry):
 
 def make_dataset(rows, model_ids=("alpha", "beta", "gamma")):
     """Small hand-rolled dataset: rows are (id, text, tags, rewards) tuples."""
-    registry = ModelRegistry.from_ids(list(model_ids))
+    registry = ModelRegistry(model_ids)
     built = tuple(
         DatasetRow(
             query=Query(id=i, text=t, tags=frozenset(tags)),

@@ -18,8 +18,6 @@ from rewardroute import (
     FeaturizerConfig,
     Gateway,
     GatewayConfig,
-    ModelRegistry,
-    ModelSpec,
     StubBackend,
     SubsetScores,
     SyntheticSpec,
@@ -383,13 +381,11 @@ def test_gateway_single_inference_and_offline_equivalence(capsys, tmp_path):
     gateway = None
     try:
         backends = [StubBackend(m).start() for m in trained.registry.ids]
-        registry = ModelRegistry(models=tuple(
-            ModelSpec(model_id=b.model_id, endpoint=b.endpoint) for b in backends
-        ))
         ckpt_path = str(tmp_path / "router.ckpt")
         save_checkpoint(trained, ckpt_path)
         gateway = Gateway(GatewayConfig(
-            checkpoint_path=ckpt_path, registry=registry, port=0,
+            checkpoint_path=ckpt_path,
+            endpoints={b.model_id: b.endpoint for b in backends}, port=0,
         ))
         gateway.start()
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 
@@ -7,7 +8,6 @@ import pytest
 from rewardroute import (
     CheckpointError,
     ModelRegistry,
-    ModelSpec,
     deserialize_model,
     init_router,
     load_checkpoint,
@@ -19,11 +19,7 @@ from rewardroute.features import FeaturizerConfig
 
 
 def _model():
-    reg = ModelRegistry(models=(
-        ModelSpec("m0", endpoint="http://localhost:9000/", display_name="Zero"),
-        ModelSpec("m1"),
-        ModelSpec("m2"),
-    ))
+    reg = ModelRegistry(("m0", "m1", "m2"))
     model = init_router(reg, FeaturizerConfig(dimension=512), seed=11)
     # non-trivial bias so the round trip exercises both parameter blocks
     return type(model)(
@@ -61,8 +57,7 @@ def test_header_is_self_describing():
     header = json.loads(blob[12:12 + header_len].decode("utf-8"))
     assert header["num_models"] == 3
     assert header["dimension"] == 512
-    assert [e["model_id"] for e in header["registry"]] == ["m0", "m1", "m2"]
-    assert header["registry"][0]["endpoint"] == "http://localhost:9000/"
+    assert header["registry"] == [{"model_id": "m0"}, {"model_id": "m1"}, {"model_id": "m2"}]
     assert header["featurizer"]["word_ngram_range"] == [1, 2]
 
 
@@ -118,3 +113,35 @@ def test_loaded_model_routes_identically(tmp_path):
         new_id, new_probs = route(loaded, text)
         assert orig_id == new_id
         np.testing.assert_array_equal(orig_probs, new_probs)
+
+
+def test_checkpoint_with_endpoints_in_its_registry_loads_and_routes_identically():
+    """Version-1 checkpoints written before the registry held only ids still load."""
+    from rewardroute import route
+
+    model = _model()
+    header = {
+        "model_version": model.version,
+        "num_models": 3,
+        "dimension": 512,
+        "featurizer": model.featurizer_config.to_dict(),
+        "registry": [
+            {"model_id": "m0", "endpoint": "http://localhost:9000/", "display_name": "Zero"},
+            {"model_id": "m1", "endpoint": None, "display_name": None},
+            {"model_id": "m2", "endpoint": None, "display_name": None},
+        ],
+    }
+    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    payload = struct.pack("<I", len(header_bytes)) + header_bytes
+    payload += model.weights.astype("<f8").tobytes() + model.bias.astype("<f8").tobytes()
+    blob = MAGIC + struct.pack("<I", 1) + payload + hashlib.sha256(payload).digest()
+
+    loaded = deserialize_model(blob)
+    assert loaded.registry == model.registry
+    for text in ["alpha beta", "gamma delta epsilon", "one more query"]:
+        old_id, old_probs = route(loaded, text)
+        new_id, new_probs = route(model, text)
+        assert old_id == new_id
+        np.testing.assert_array_equal(old_probs, new_probs)
+    # saved again, it has the ids-only header and the same parameter blocks
+    assert serialize_model(loaded) == serialize_model(model)

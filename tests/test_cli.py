@@ -255,6 +255,25 @@ def test_ingest_removes_planted_contaminated_row(tmp_path, capsys):
     assert "q-032" in printed
 
 
+def test_ingest_screens_the_dataset_once(tmp_path, monkeypatch):
+    import rewardroute.cli
+    import rewardroute.decontamination
+
+    calls = []
+    screen = rewardroute.decontamination.find_contaminated
+
+    def counting_screen(*args, **kwargs):
+        calls.append(args)
+        return screen(*args, **kwargs)
+
+    monkeypatch.setattr(rewardroute.cli, "find_contaminated", counting_screen)
+    monkeypatch.setattr(rewardroute.decontamination, "find_contaminated", counting_screen)
+    code = main(["ingest", "--data", DATA, "--registry", REGISTRY,
+                 "--out", str(tmp_path / "clean.jsonl"), "--benchmarks", BENCHMARKS])
+    assert code == EXIT_OK
+    assert len(calls) == 1
+
+
 def test_ingest_without_benchmarks_is_passthrough(tmp_path, capsys):
     out = tmp_path / "copy.jsonl"
     code = main(["ingest", "--data", DATA, "--registry", REGISTRY,

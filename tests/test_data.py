@@ -7,7 +7,6 @@ from rewardroute import (
     DataFormatError,
     DatasetRow,
     ModelRegistry,
-    ModelSpec,
     Query,
     RewardDataset,
     apply_tag_rules,
@@ -40,26 +39,29 @@ def test_query_tags_are_frozen():
 
 def test_registry_rejects_duplicate_ids():
     with pytest.raises(DataFormatError, match="duplicate"):
-        ModelRegistry(models=(ModelSpec("m0"), ModelSpec("m0")))
+        ModelRegistry(("m0", "m1", "m0"))
 
 
 def test_registry_rejects_empty():
     with pytest.raises(DataFormatError):
-        ModelRegistry(models=())
+        ModelRegistry(())
 
 
 def test_registry_lookup():
-    reg = ModelRegistry.from_ids(["a", "b", "c"])
+    reg = ModelRegistry(["a", "b", "c"])
     assert reg.ids == ("a", "b", "c")
     assert reg.index_of("b") == 1
-    assert reg.endpoint_for("a") is None
     with pytest.raises(DataFormatError, match="unknown"):
         reg.index_of("zzz")
 
 
-def test_model_spec_label_prefers_display_name():
-    assert ModelSpec("m0", display_name="Nice Name").label == "Nice Name"
-    assert ModelSpec("m0").label == "m0"
+def test_load_registry_ignores_other_keys(tmp_path):
+    path = tmp_path / "reg.json"
+    path.write_text(json.dumps({"models": [
+        {"model_id": "m0", "endpoint": "http://localhost:1/", "display_name": "Zero"},
+        {"model_id": "m1", "endpoint": 7},
+    ]}), encoding="utf-8")
+    assert load_registry(path) == ModelRegistry(("m0", "m1"))
 
 
 def test_dataset_row_rejects_non_finite_rewards():
@@ -69,14 +71,14 @@ def test_dataset_row_rejects_non_finite_rewards():
 
 
 def test_dataset_rejects_length_mismatch():
-    reg = ModelRegistry.from_ids(["a", "b"])
+    reg = ModelRegistry(["a", "b"])
     row = DatasetRow(query=Query(id="q1", text="x y"), rewards=np.array([1.0, 2.0, 3.0]))
     with pytest.raises(DataFormatError, match="length"):
         RewardDataset(registry=reg, rows=(row,))
 
 
 def test_dataset_rejects_duplicate_query_ids():
-    reg = ModelRegistry.from_ids(["a", "b"])
+    reg = ModelRegistry(["a", "b"])
     row = DatasetRow(query=Query(id="q1", text="x y"), rewards=np.array([1.0, 2.0]))
     with pytest.raises(DataFormatError, match="duplicate"):
         RewardDataset(registry=reg, rows=(row, row))
@@ -117,7 +119,7 @@ def test_save_dataset_is_deterministic(tmp_path):
 
 
 def test_load_dataset_reports_line_numbers(tmp_path):
-    reg = ModelRegistry.from_ids(["a", "b"])
+    reg = ModelRegistry(["a", "b"])
     good = json.dumps({"id": "q1", "query": "fine", "rewards": {"a": 1, "b": 2}})
     path = tmp_path / "bad.jsonl"
     path.write_text(good + "\n{not json\n", encoding="utf-8")
@@ -133,7 +135,7 @@ def test_load_dataset_reports_line_numbers(tmp_path):
     ({"id": "q", "query": "x", "rewards": {"a": 1, "b": 2, "zz": 3}}, "unregistered model"),
 ])
 def test_load_dataset_field_validation(tmp_path, record, message):
-    reg = ModelRegistry.from_ids(["a", "b"])
+    reg = ModelRegistry(["a", "b"])
     path = tmp_path / "one.jsonl"
     path.write_text(json.dumps(record) + "\n", encoding="utf-8")
     with pytest.raises(DataFormatError, match=message):
@@ -141,7 +143,7 @@ def test_load_dataset_field_validation(tmp_path, record, message):
 
 
 def test_load_dataset_rejects_duplicate_ids(tmp_path):
-    reg = ModelRegistry.from_ids(["a"])
+    reg = ModelRegistry(["a"])
     rec = json.dumps({"id": "q1", "query": "x", "rewards": {"a": 1}})
     path = tmp_path / "dup.jsonl"
     path.write_text(rec + "\n" + rec + "\n", encoding="utf-8")
@@ -150,7 +152,7 @@ def test_load_dataset_rejects_duplicate_ids(tmp_path):
 
 
 def test_load_dataset_rejects_empty_file(tmp_path):
-    reg = ModelRegistry.from_ids(["a"])
+    reg = ModelRegistry(["a"])
     path = tmp_path / "empty.jsonl"
     path.write_text("\n\n", encoding="utf-8")
     with pytest.raises(DataFormatError, match="empty"):
@@ -158,32 +160,32 @@ def test_load_dataset_rejects_empty_file(tmp_path):
 
 
 def test_load_dataset_missing_file_names_path(tmp_path):
-    reg = ModelRegistry.from_ids(["a"])
+    reg = ModelRegistry(["a"])
     missing = tmp_path / "nope.jsonl"
     with pytest.raises(DataFormatError, match="nope.jsonl"):
         load_dataset(missing, reg)
 
 
 def test_registry_round_trip(tmp_path):
-    reg = ModelRegistry(models=(
-        ModelSpec("m0", endpoint="http://localhost:1/", display_name="Zero"),
-        ModelSpec("m1"),
-    ))
+    reg = ModelRegistry(("m1", "m0"))
     path = tmp_path / "reg.json"
     save_registry(reg, path)
-    loaded = load_registry(path)
-    assert loaded == reg
+    assert json.loads(path.read_text(encoding="utf-8")) == {
+        "models": [{"model_id": "m1"}, {"model_id": "m0"}]
+    }
+    assert load_registry(path) == reg
 
 
 def test_load_registry_rejects_malformed(tmp_path):
     path = tmp_path / "reg.json"
-    path.write_text(json.dumps({"nope": []}), encoding="utf-8")
-    with pytest.raises(DataFormatError, match="models"):
-        load_registry(path)
+    for malformed in ({"nope": []}, {"models": 5}):
+        path.write_text(json.dumps(malformed), encoding="utf-8")
+        with pytest.raises(DataFormatError, match="'models' list"):
+            load_registry(path)
 
 
 def test_oracle_round_trip(tmp_path):
-    reg = ModelRegistry.from_ids(["a", "b"])
+    reg = ModelRegistry(["a", "b"])
     oracle = {"q1": np.array([1.0, 0.0]), "q2": np.array([0.25, 0.75])}
     path = tmp_path / "oracle.jsonl"
     save_oracle(oracle, reg, path)
@@ -193,7 +195,7 @@ def test_oracle_round_trip(tmp_path):
 
 
 def test_load_oracle_requires_all_models(tmp_path):
-    reg = ModelRegistry.from_ids(["a", "b"])
+    reg = ModelRegistry(["a", "b"])
     path = tmp_path / "oracle.jsonl"
     path.write_text(json.dumps({"id": "q1", "scores": {"a": 1.0}}) + "\n", encoding="utf-8")
     with pytest.raises(DataFormatError, match="missing score"):

@@ -124,7 +124,7 @@ def test_router_system_appears_when_model_given(tiny_benchmark, tiny_model):
 
 def _one_row_subsets(rows):
     """Dataset with each (rewards, oracle) row in a subset of its own."""
-    registry = ModelRegistry.from_ids(["a", "b", "c"])
+    registry = ModelRegistry(["a", "b", "c"])
     built, oracle = [], {}
     for i, (rewards, truth) in enumerate(rows):
         query = Query(id=f"q{i}", text=f"query {i}", subset=f"s{i}")

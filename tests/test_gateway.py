@@ -14,13 +14,10 @@ from rewardroute import (
     Gateway,
     GatewayConfig,
     GatewayError,
-    ModelRegistry,
-    ModelSpec,
     StubBackend,
     load_checkpoint,
     route,
     save_checkpoint,
-    save_registry,
 )
 
 
@@ -62,17 +59,13 @@ def gw_env(ckpt, tiny_model):
                 self.backends[m] = b
                 started.append(b)
 
-        def registry(self, endpoints=None):
-            endpoints = endpoints or {m: b.endpoint for m, b in self.backends.items()}
-            return ModelRegistry(models=tuple(
-                ModelSpec(model_id=m, endpoint=endpoints.get(m))
-                for m in self.backends
-            ))
+        def endpoints(self):
+            return {m: b.endpoint for m, b in self.backends.items()}
 
         def gateway(self, **overrides):
             config = GatewayConfig(
                 checkpoint_path=overrides.pop("checkpoint_path", ckpt),
-                registry=overrides.pop("registry", self.registry()),
+                endpoints=overrides.pop("endpoints", self.endpoints()),
                 port=0,
                 **overrides,
             )
@@ -203,8 +196,30 @@ def test_partial_body_does_not_hold_an_admission_slot(gw_env):
         sock.close()  # shutdown joins the handler thread still reading this body
 
 
-def test_client_disconnects_do_not_print_tracebacks(gw_env, capsys):
-    server = gw_env.gateway()._server
+def test_stalled_client_does_not_block_shutdown(gw_env):
+    gw = gw_env.gateway(timeout_ms=300)
+    stopper = threading.Thread(target=gw.shutdown)
+    sock = socket.create_connection((gw.config.host, gw.port), timeout=5)
+    try:
+        sock.sendall(b"POST /route HTTP/1.0\r\nContent-Type: application/json\r\n"
+                     b"Content-Length: 100\r\n\r\n" + b'{"query": ')
+        time.sleep(0.1)  # the gateway is now waiting for the other 90 bytes
+        stopper.start()
+        stopper.join(timeout=5)
+        assert not stopper.is_alive(), "shutdown() waited on a client that sent nothing more"
+        assert sock.recv(4096) == b""  # the gateway dropped the stalled connection
+    finally:
+        sock.close()
+        if stopper.is_alive():
+            stopper.join()
+
+
+@pytest.mark.parametrize("server_of", [
+    lambda env: env.gateway()._server,
+    lambda env: env.backends["m0"]._server,
+], ids=["gateway", "stub_backend"])
+def test_client_disconnects_do_not_print_tracebacks(gw_env, capsys, server_of):
+    server = server_of(gw_env)
     try:
         raise ConnectionResetError("peer reset")
     except ConnectionResetError:
@@ -377,9 +392,9 @@ def test_startup_rejects_corrupt_checkpoint(gw_env, tmp_path):
 
 
 def test_startup_rejects_missing_endpoint(gw_env):
-    registry = gw_env.registry(endpoints={"m0": gw_env.backends["m0"].endpoint})
-    with pytest.raises(GatewayError, match="no endpoint"):
-        gw_env.gateway(registry=registry)
+    endpoints = {"m0": gw_env.backends["m0"].endpoint}
+    with pytest.raises(GatewayError, match=r"no endpoint configured for model\(s\) \['m1', 'm2'\]"):
+        gw_env.gateway(endpoints=endpoints)
 
 
 def test_startup_rejects_unknown_fallback(gw_env):
@@ -422,9 +437,14 @@ def test_shutdown_drains_in_flight_requests(gw_env):
     assert results and results[0][0] == 200
 
 
+def _write_registry(path, endpoints):
+    path.write_text(json.dumps({"models": [
+        {"model_id": m, "endpoint": endpoint} for m, endpoint in endpoints.items()
+    ]}), encoding="utf-8")
+
+
 def test_gateway_config_from_file(gw_env, ckpt, tmp_path):
-    reg_path = tmp_path / "registry.json"
-    save_registry(gw_env.registry(), reg_path)
+    _write_registry(tmp_path / "registry.json", gw_env.endpoints())
     config_path = tmp_path / "gateway.json"
     config_path.write_text(json.dumps({
         "checkpoint": ckpt,
@@ -438,7 +458,7 @@ def test_gateway_config_from_file(gw_env, ckpt, tmp_path):
     assert config.checkpoint_path == ckpt
     assert config.timeout_ms == 2500
     assert config.max_in_flight == 7
-    assert config.registry.ids == ("m0", "m1", "m2")
+    assert config.endpoints == gw_env.endpoints()
     # relative paths resolve against the config file's directory
     assert config.route_log_path == str(tmp_path / "routes.jsonl")
 
@@ -459,10 +479,17 @@ def test_gateway_config_validation(tmp_path, gw_env, ckpt):
     with pytest.raises(DataFormatError, match="checkpoint"):
         GatewayConfig.from_file(missing)
 
+    # an endpoint that is not a string fails when the file loads, not on /generate
+    _write_registry(tmp_path / "r.json", {**gw_env.endpoints(), "m1": 9001})
+    config = tmp_path / "gateway.json"
+    config.write_text(json.dumps({"checkpoint": ckpt, "registry": "r.json"}), encoding="utf-8")
+    with pytest.raises(DataFormatError, match=r"endpoint of \['m1'\] is not a string"):
+        GatewayConfig.from_file(config)
+
     with pytest.raises(GatewayError, match="timeout_ms"):
-        GatewayConfig(checkpoint_path=ckpt, registry=gw_env.registry(), timeout_ms=0)
+        GatewayConfig(checkpoint_path=ckpt, endpoints=gw_env.endpoints(), timeout_ms=0)
     with pytest.raises(GatewayError, match="max_in_flight"):
-        GatewayConfig(checkpoint_path=ckpt, registry=gw_env.registry(), max_in_flight=0)
+        GatewayConfig(checkpoint_path=ckpt, endpoints=gw_env.endpoints(), max_in_flight=0)
 
 
 def test_latency_window_keeps_only_recent_requests():

@@ -1,20 +1,30 @@
-"""The benchmark scripts import only names that rewardroute exports."""
+"""The benchmark scripts and the demos import only names that rewardroute exports."""
 
 import ast
 from pathlib import Path
 
 import rewardroute
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_perfbench_imports_only_public_names():
+def _names_imported_from_rewardroute(directory: Path) -> list[tuple[str, str]]:
     imported = [
         (path.name, alias.name)
-        for path in sorted(PERFBENCH.glob("*.py"))
+        for path in sorted(directory.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "rewardroute"
         for alias in node.names
     ]
-    assert imported, "found no 'from rewardroute import ...' line in perfbench"
+    assert imported, f"found no 'from rewardroute import ...' line in {directory.name}"
+    return imported
+
+
+def test_perfbench_imports_only_public_names():
+    imported = _names_imported_from_rewardroute(ROOT / "perfbench")
+    assert [(f, n) for f, n in imported if n not in rewardroute.__all__] == []
+
+
+def test_demos_import_only_public_names():
+    imported = _names_imported_from_rewardroute(ROOT / "demos")
     assert [(f, n) for f, n in imported if n not in rewardroute.__all__] == []

@@ -48,7 +48,7 @@ def test_dataset_lookup_source():
 
 
 def test_oracle_select_argmax_and_shape_check():
-    reg = ModelRegistry.from_ids(["a", "b", "c"])
+    reg = ModelRegistry(["a", "b", "c"])
     q = Query(id="q1", text="anything")
     assert oracle_select(q, np.array([0.0, 0.0, 1.0]), reg) == "c"
     assert oracle_select(q, np.array([1.0, 1.0, 0.0]), reg) == "a"

@@ -108,7 +108,7 @@ def test_l2_penalty_applies_to_weights_only():
 
 
 def test_forward_matches_dense_softmax():
-    reg = ModelRegistry.from_ids(["a", "b", "c"])
+    reg = ModelRegistry(["a", "b", "c"])
     config = FeaturizerConfig(dimension=128)
     rng = np.random.default_rng(5)
     model = RouterModel(
@@ -121,7 +121,7 @@ def test_forward_matches_dense_softmax():
 
 
 def test_forward_distribution_sums_to_one():
-    reg = ModelRegistry.from_ids(["a", "b"])
+    reg = ModelRegistry(["a", "b"])
     model = init_router(reg, FeaturizerConfig(dimension=64), seed=0)
     probs = forward(model, featurize(model.featurizer_config, "any text"))[0]
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
@@ -242,14 +242,14 @@ def test_divergence_raises_with_last_finite_loss():
 def test_train_rejects_registry_mismatch():
     ds = _overfit_dataset()
     table = aggregate_tag_rewards(ds)
-    other = ModelRegistry.from_ids(["x", "y", "z"])
+    other = ModelRegistry(["x", "y", "z"])
     model = init_router(other, FeaturizerConfig(dimension=512), seed=0)
     with pytest.raises(ValueError, match="registry"):
         train(model, ds, table, TrainConfig(epochs=1))
 
 
 def test_route_tie_breaks_to_lowest_index():
-    reg = ModelRegistry.from_ids(["first", "second", "third"])
+    reg = ModelRegistry(["first", "second", "third"])
     config = FeaturizerConfig(dimension=64)
     model = RouterModel(weights=np.zeros((3, 64)), bias=np.zeros(3),
                         featurizer_config=config, registry=reg)
@@ -282,7 +282,7 @@ def test_train_config_validation(field, value):
 
 
 def test_init_router_seeded_and_bounded():
-    reg = ModelRegistry.from_ids(["a", "b"])
+    reg = ModelRegistry(["a", "b"])
     m1 = init_router(reg, FeaturizerConfig(dimension=256), seed=7)
     m2 = init_router(reg, FeaturizerConfig(dimension=256), seed=7)
     np.testing.assert_array_equal(m1.weights, m2.weights)
