@@ -63,7 +63,7 @@ for qid, ngram in hits:
     print(f"  shares the window: {' '.join(ngram)!r}")
 
 clean, removed = decontaminate(dataset, benchmarks)
-print(f"\nkept {len(clean)} rows, removed {removed}")
+print(f"\nkept {len(clean)} rows, removed {[qid for qid, _ in removed]}")
 
 # Five shared tokens are not enough; only a full 6-token window flags.
 near_miss = "write a regex that validates timestamps for logs"

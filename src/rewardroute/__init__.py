@@ -8,16 +8,14 @@ decontamination, reward normalization with tag-level label smoothing,
 hashed n-gram features, distillation training, ranking metrics against
 reward-argmax and oracle baselines, synthetic planted-expertise benchmarks,
 and an HTTP gateway that serves routing decisions.
+
+The names exported here are the workflow: each step's entry points, the
+values passed from one step to the next, and the exception types. Helpers
+(metric pieces, hashing, serialization) are imported from their submodules.
 """
 
-from .checkpoint import (
-    deserialize_model,
-    load_checkpoint,
-    save_checkpoint,
-    serialize_model,
-)
+from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (
-    UNTAGGED,
     DatasetRow,
     ModelRegistry,
     Query,
@@ -45,53 +43,32 @@ from .errors import (
     RewardRouteError,
 )
 from .evaluation import (
-    AblationResult,
-    EntropyAnalysis,
-    EvalReport,
-    SubsetScores,
     beta_ablation,
-    build_eval_report,
     entropy_quality_analysis,
     evaluate_systems,
     holdout_split,
-    mean_task_rank,
     routing_accuracy,
-    subset_ranks,
-    uplift_rate,
 )
 from .features import (
     FeaturizerConfig,
-    extract_ngrams,
     featurize,
     featurize_matrix,
-    fnv1a_64,
     stable_hash,
 )
 from .gateway import Gateway, GatewayConfig
-from .ranking import (
-    SyntheticSpec,
-    make_synthetic_benchmark,
-    oracle_select,
-    stub_response,
-    synthetic_registry,
-)
+from .ranking import SyntheticSpec, make_synthetic_benchmark, stub_response
 from .rewards import (
-    DISTRIBUTION_ATOL,
-    TagRewardTable,
     aggregate_tag_rewards,
     enhance_labels,
     normalize_rewards,
     reward_entropy,
-    tag_mean_for_query,
 )
 from .router import (
     RouterModel,
     TrainConfig,
-    TrainReport,
     build_targets,
     forward,
     init_router,
-    kl_loss,
     kl_objective,
     route,
     train,
@@ -101,14 +78,10 @@ from .stub_backend import StubBackend
 __version__ = "0.1.0"
 
 __all__ = [
-    "AblationResult",
     "CheckpointError",
-    "DISTRIBUTION_ATOL",
     "DataFormatError",
     "DatasetRow",
     "DivergenceError",
-    "EntropyAnalysis",
-    "EvalReport",
     "FeaturizerConfig",
     "Gateway",
     "GatewayConfig",
@@ -119,31 +92,22 @@ __all__ = [
     "RewardRouteError",
     "RouterModel",
     "StubBackend",
-    "SubsetScores",
     "SyntheticSpec",
-    "TagRewardTable",
     "TrainConfig",
-    "TrainReport",
-    "UNTAGGED",
     "aggregate_tag_rewards",
     "apply_tag_rules",
     "beta_ablation",
-    "build_eval_report",
     "build_targets",
     "decontaminate",
-    "deserialize_model",
     "enhance_labels",
     "entropy_quality_analysis",
     "evaluate_systems",
-    "extract_ngrams",
     "featurize",
     "featurize_matrix",
     "find_contaminated",
-    "fnv1a_64",
     "forward",
     "holdout_split",
     "init_router",
-    "kl_loss",
     "kl_objective",
     "load_checkpoint",
     "load_dataset",
@@ -151,9 +115,7 @@ __all__ = [
     "load_registry",
     "load_tag_rules",
     "make_synthetic_benchmark",
-    "mean_task_rank",
     "normalize_rewards",
-    "oracle_select",
     "reward_entropy",
     "route",
     "routing_accuracy",
@@ -161,14 +123,9 @@ __all__ = [
     "save_dataset",
     "save_oracle",
     "save_registry",
-    "serialize_model",
     "stable_hash",
     "stub_response",
-    "subset_ranks",
-    "synthetic_registry",
-    "tag_mean_for_query",
     "text_ngrams",
     "tokenize",
     "train",
-    "uplift_rate",
 ]

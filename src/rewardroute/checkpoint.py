@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import ModelRegistry
-from .errors import CheckpointError
+from .errors import CheckpointError, DataFormatError
 from .features import FeaturizerConfig
 from .router import MODEL_FORMAT_VERSION, RouterModel
 
@@ -80,23 +80,28 @@ def deserialize_model(blob: bytes) -> RouterModel:
         header = json.loads(payload[4:4 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"checkpoint header is not valid JSON: {exc}") from exc
-    k = int(header["num_models"])
-    d = int(header["dimension"])
-    body = payload[4 + header_len:]
-    expected = (k * d + k) * 8
-    if len(body) != expected:
-        raise CheckpointError(
-            f"checkpoint parameter block has {len(body)} bytes, expected {expected}"
+    # A valid checksum does not make the header well formed: a missing or
+    # ill-typed field, or shapes that disagree, is still a CheckpointError.
+    try:
+        k = int(header["num_models"])
+        d = int(header["dimension"])
+        body = payload[4 + header_len:]
+        expected = (k * d + k) * 8
+        if len(body) != expected:
+            raise CheckpointError(
+                f"checkpoint parameter block has {len(body)} bytes, expected {expected}"
+            )
+        weights = np.frombuffer(body[:k * d * 8], dtype="<f8").reshape(k, d).copy()
+        bias = np.frombuffer(body[k * d * 8:], dtype="<f8").copy()
+        return RouterModel(
+            weights=weights,
+            bias=bias,
+            featurizer_config=FeaturizerConfig.from_dict(header["featurizer"]),
+            registry=_registry_from_dict(header["registry"]),
+            version=int(header.get("model_version", MODEL_FORMAT_VERSION)),
         )
-    weights = np.frombuffer(body[:k * d * 8], dtype="<f8").reshape(k, d).copy()
-    bias = np.frombuffer(body[k * d * 8:], dtype="<f8").copy()
-    return RouterModel(
-        weights=weights,
-        bias=bias,
-        featurizer_config=FeaturizerConfig.from_dict(header["featurizer"]),
-        registry=_registry_from_dict(header["registry"]),
-        version=int(header.get("model_version", MODEL_FORMAT_VERSION)),
-    )
+    except (KeyError, TypeError, ValueError, OverflowError, DataFormatError) as exc:
+        raise CheckpointError(f"malformed checkpoint ({type(exc).__name__}: {exc})") from exc
 
 
 def save_checkpoint(model: RouterModel, path: str | Path) -> None:

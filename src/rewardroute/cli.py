@@ -34,14 +34,14 @@ from .data import (
     save_oracle,
     save_registry,
 )
-from .decontamination import find_contaminated
+from .decontamination import decontaminate
 from .errors import (
     CheckpointError,
     DataFormatError,
     DivergenceError,
     GatewayError,
 )
-from .evaluation import beta_ablation, evaluate_systems
+from .evaluation import AblationResult, EvalReport, beta_ablation, evaluate_systems
 from .features import FeaturizerConfig
 from .gateway import Gateway, GatewayConfig
 from .ranking import SyntheticSpec, make_synthetic_benchmark
@@ -89,9 +89,18 @@ def _add_format_flag(parser: argparse.ArgumentParser) -> None:
                         help="stdout layout: aligned table or JSON records")
 
 
-def _print_records(records: list[dict]) -> None:
-    for record in records:
-        print(json.dumps(record))
+def _emit_results(args: argparse.Namespace, result: EvalReport | AblationResult) -> None:
+    """Write the result's records to --out, then print them as --format asks."""
+    records = result.to_records()
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            for record in records:
+                fh.write(json.dumps(record) + "\n")
+    if args.format == "records":
+        for record in records:
+            print(json.dumps(record))
+    else:
+        print(result.render_table())
 
 
 # ---------------------------------------------------------------------------
@@ -108,11 +117,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             for line in Path(args.benchmarks).read_text(encoding="utf-8").splitlines()
             if line.strip()
         ]
-        removed = find_contaminated(dataset, benchmark_queries)
-        removed_ids = {qid for qid, _ in removed}
-        dataset = dataset.with_rows(
-            row for row in dataset.rows if row.query.id not in removed_ids
-        )
+        dataset, removed = decontaminate(dataset, benchmark_queries)
     save_dataset(dataset, args.out)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
@@ -141,7 +146,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     config = TrainConfig(
         learning_rate=args.lr, epochs=args.epochs, batch_size=args.batch_size,
         beta=args.beta, temperature=args.temperature, l2_penalty=args.l2,
-        seed=args.seed, reverse_kl=args.reverse_kl,
+        seed=args.seed,
     )
     table = aggregate_tag_rewards(dataset)
     model = init_router(
@@ -162,14 +167,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     oracle = load_oracle(args.oracle, registry)
     model = load_checkpoint(args.checkpoint) if args.checkpoint else None
     report = evaluate_systems(dataset, oracle, model=model, rmr=args.rmr)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            for record in report.to_records():
-                fh.write(json.dumps(record) + "\n")
-    if args.format == "records":
-        _print_records(report.to_records())
-    else:
-        print(report.render_table())
+    _emit_results(args, report)
     return EXIT_OK
 
 
@@ -179,14 +177,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         learning_rate=args.lr, epochs=args.epochs, seed=args.seed,
     )
     result = beta_ablation(spec, args.betas, config)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            for record in result.to_records():
-                fh.write(json.dumps(record) + "\n")
-    if args.format == "records":
-        _print_records(result.to_records())
-    else:
-        print(result.render_table())
+    _emit_results(args, result)
     return EXIT_OK
 
 
@@ -270,8 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dimension", type=_positive_int, default=65536,
                    help="hashed feature dimension")
-    p.add_argument("--reverse-kl", action="store_true",
-                   help="minimize KL(router, target) instead of KL(target, router)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="compare routing policies on an oracle-labelled set")

@@ -78,12 +78,14 @@ def decontaminate(
     dataset: RewardDataset,
     benchmark_queries: Iterable[str],
     n: int = 6,
-) -> tuple[RewardDataset, list[str]]:
-    """Drop every row overlapping the benchmark set; also return removed ids.
+) -> tuple[RewardDataset, list[tuple[str, NGram]]]:
+    """Drop every row overlapping the benchmark set.
 
-    An empty benchmark list removes nothing. Surviving rows keep their order.
+    Returns the surviving rows, in their order, and find_contaminated's
+    (query_id, n-gram) hits for the dropped ones. An empty benchmark list
+    removes nothing.
     """
-    removed = [qid for qid, _ in find_contaminated(dataset, benchmark_queries, n)]
-    removed_set = set(removed)
-    kept = [row for row in dataset.rows if row.query.id not in removed_set]
-    return dataset.with_rows(kept), removed
+    hits = find_contaminated(dataset, benchmark_queries, n)
+    removed = {qid for qid, _ in hits}
+    kept = dataset.with_rows(row for row in dataset.rows if row.query.id not in removed)
+    return kept, hits

@@ -75,8 +75,6 @@ class TrainConfig:
     temperature: float = 1.0
     l2_penalty: float = 1e-6
     seed: int = 0
-    # Ablation switch: distill KL(pred || target) instead of KL(target || pred).
-    reverse_kl: bool = False
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -152,15 +150,12 @@ def kl_loss(pred: np.ndarray, target: np.ndarray) -> float:
     t = check_distribution(target)
     if p.shape != t.shape:
         raise ValueError(f"length mismatch: pred {p.shape} vs target {t.shape}")
-    return float(_kl_rows(p[None, :], t[None, :], reverse=False)[0])
+    return float(_kl_rows(p[None, :], t[None, :])[0])
 
 
-def _kl_rows(pred: np.ndarray, target: np.ndarray, reverse: bool) -> np.ndarray:
-    """Per-row KL over a batch; pred rows are softmax outputs (> 0)."""
+def _kl_rows(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Per-row KL(target || pred) over a batch; pred rows are softmax outputs (> 0)."""
     logp = np.log(np.maximum(pred, PROB_CLAMP))
-    if reverse:
-        logt = np.log(np.maximum(target, PROB_CLAMP))
-        return (pred * (logp - logt)).sum(axis=1)
     contrib = np.where(target > 0, target * (np.log(np.maximum(target, PROB_CLAMP)) - logp), 0.0)
     return contrib.sum(axis=1)
 
@@ -171,25 +166,18 @@ def kl_objective(
     x: sparse.csr_matrix,
     targets: np.ndarray,
     l2_penalty: float = 0.0,
-    reverse_kl: bool = False,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Mean KL loss over a batch plus L2 penalty, with analytic gradients.
 
     Forward direction KL(t || p): dL/dlogits = (p - t) / B.
-    Reverse direction KL(p || t): dL/dlogits_k = p_k (ln(p_k/t_k) - KL_row) / B.
     The penalty 0.5 * l2 * ||W||^2 applies to weights only, not the bias.
     """
     n = x.shape[0]
     logits = x @ weights.T + bias
     pred = _softmax_rows(logits)
-    rows = _kl_rows(pred, targets, reverse_kl)
+    rows = _kl_rows(pred, targets)
     loss = float(rows.mean()) + 0.5 * l2_penalty * float((weights ** 2).sum())
-    if reverse_kl:
-        logt = np.log(np.maximum(targets, PROB_CLAMP))
-        logp = np.log(np.maximum(pred, PROB_CLAMP))
-        g = pred * ((logp - logt) - rows[:, None]) / n
-    else:
-        g = (pred - targets) / n
+    g = (pred - targets) / n
     grad_w = (x.T @ g).T + l2_penalty * weights
     grad_b = g.sum(axis=0)
     return loss, grad_w, grad_b
@@ -258,12 +246,12 @@ def _optimize(
                 idx = order[lo:lo + config.batch_size]
                 _, grad_w, grad_b = kl_objective(
                     weights, bias, x[idx], targets[idx],
-                    l2_penalty=config.l2_penalty, reverse_kl=config.reverse_kl,
+                    l2_penalty=config.l2_penalty,
                 )
                 weights -= config.learning_rate * grad_w
                 bias -= config.learning_rate * grad_b
             pred = _softmax_rows(x @ weights.T + bias)
-            epoch_loss = float(_kl_rows(pred, targets, config.reverse_kl).mean())
+            epoch_loss = float(_kl_rows(pred, targets).mean())
             if not np.isfinite(epoch_loss) or not np.all(np.isfinite(weights)):
                 raise DivergenceError(
                     f"training diverged (non-finite loss) at learning_rate="

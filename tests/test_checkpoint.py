@@ -8,13 +8,11 @@ import pytest
 from rewardroute import (
     CheckpointError,
     ModelRegistry,
-    deserialize_model,
     init_router,
     load_checkpoint,
     save_checkpoint,
-    serialize_model,
 )
-from rewardroute.checkpoint import FORMAT_VERSION, MAGIC
+from rewardroute.checkpoint import FORMAT_VERSION, MAGIC, deserialize_model, serialize_model
 from rewardroute.features import FeaturizerConfig
 
 
@@ -26,6 +24,14 @@ def _model():
         weights=model.weights, bias=np.array([0.1, -0.2, 0.3]),
         featurizer_config=model.featurizer_config, registry=reg,
     )
+
+
+def _hand_built(header: dict, model) -> bytes:
+    """A version-1 checkpoint with this header, the model's parameters and a valid digest."""
+    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    payload = struct.pack("<I", len(header_bytes)) + header_bytes
+    payload += model.weights.astype("<f8").tobytes() + model.bias.astype("<f8").tobytes()
+    return MAGIC + struct.pack("<I", 1) + payload + hashlib.sha256(payload).digest()
 
 
 def test_round_trip_is_bit_exact(tmp_path):
@@ -131,12 +137,7 @@ def test_checkpoint_with_endpoints_in_its_registry_loads_and_routes_identically(
             {"model_id": "m2", "endpoint": None, "display_name": None},
         ],
     }
-    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    payload = struct.pack("<I", len(header_bytes)) + header_bytes
-    payload += model.weights.astype("<f8").tobytes() + model.bias.astype("<f8").tobytes()
-    blob = MAGIC + struct.pack("<I", 1) + payload + hashlib.sha256(payload).digest()
-
-    loaded = deserialize_model(blob)
+    loaded = deserialize_model(_hand_built(header, model))
     assert loaded.registry == model.registry
     for text in ["alpha beta", "gamma delta epsilon", "one more query"]:
         old_id, old_probs = route(loaded, text)
@@ -145,3 +146,32 @@ def test_checkpoint_with_endpoints_in_its_registry_loads_and_routes_identically(
         np.testing.assert_array_equal(old_probs, new_probs)
     # saved again, it has the ids-only header and the same parameter blocks
     assert serialize_model(loaded) == serialize_model(model)
+
+
+@pytest.mark.parametrize("malform", [
+    lambda header: {**header, "registry": [{"model_id": "m0"}, {"endpoint": "http://m1/"},
+                                           {"model_id": "m2"}]},
+    lambda header: {k: v for k, v in header.items() if k != "featurizer"},
+    lambda header: list(header.items()),
+    lambda header: {**header, "registry": header["registry"][:2]},
+], ids=["registry-entry-without-model-id", "no-featurizer", "header-is-a-list",
+        "registry-shorter-than-num-models"])
+def test_malformed_header_is_a_checkpoint_error(malform, tmp_path, capsys):
+    """A header whose checksum holds but whose fields do not is refused as data."""
+    from rewardroute.cli import EXIT_DATA, main
+
+    model = _model()
+    header = {
+        "model_version": model.version,
+        "num_models": 3,
+        "dimension": 512,
+        "featurizer": model.featurizer_config.to_dict(),
+        "registry": [{"model_id": m} for m in model.registry.ids],
+    }
+    path = tmp_path / "malformed.ckpt"
+    path.write_bytes(_hand_built(malform(header), model))
+
+    with pytest.raises(CheckpointError, match="malformed"):
+        load_checkpoint(path)
+    assert main(["route", "--checkpoint", str(path), "--query", "alpha beta"]) == EXIT_DATA
+    assert capsys.readouterr().err.startswith("error: malformed checkpoint")

@@ -256,7 +256,6 @@ def test_ingest_removes_planted_contaminated_row(tmp_path, capsys):
 
 
 def test_ingest_screens_the_dataset_once(tmp_path, monkeypatch):
-    import rewardroute.cli
     import rewardroute.decontamination
 
     calls = []
@@ -266,7 +265,6 @@ def test_ingest_screens_the_dataset_once(tmp_path, monkeypatch):
         calls.append(args)
         return screen(*args, **kwargs)
 
-    monkeypatch.setattr(rewardroute.cli, "find_contaminated", counting_screen)
     monkeypatch.setattr(rewardroute.decontamination, "find_contaminated", counting_screen)
     code = main(["ingest", "--data", DATA, "--registry", REGISTRY,
                  "--out", str(tmp_path / "clean.jsonl"), "--benchmarks", BENCHMARKS])

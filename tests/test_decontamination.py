@@ -65,8 +65,8 @@ def test_punctuation_and_case_do_not_hide_overlap():
 
 def test_no_benchmarks_removes_nothing():
     ds = make_dataset([("q1", "one two three four five six", (), [1, 2, 3])])
-    kept, removed = decontaminate(ds, [])
-    assert removed == []
+    kept, hits = decontaminate(ds, [])
+    assert hits == []
     assert len(kept) == 1
 
 
@@ -75,8 +75,8 @@ def test_decontaminate_partitions_dataset():
         ("q1", "copy of the benchmark one two three four five six", (), [1, 2, 3]),
         ("q2", "unrelated text about cooking pasta slowly tonight", (), [1, 2, 3]),
     ])
-    kept, removed = decontaminate(ds, ["one two three four five six"])
-    assert removed == ["q1"]
+    kept, hits = decontaminate(ds, ["one two three four five six"])
+    assert hits == [("q1", ("one", "two", "three", "four", "five", "six"))]
     assert [r.query.id for r in kept.rows] == ["q2"]
     assert kept.registry is ds.registry
 

@@ -7,21 +7,23 @@ from rewardroute import (
     ModelRegistry,
     Query,
     RewardDataset,
-    SubsetScores,
     SyntheticSpec,
     aggregate_tag_rewards,
     beta_ablation,
-    build_eval_report,
     entropy_quality_analysis,
     evaluate_systems,
     featurize_matrix,
     holdout_split,
     init_router,
     make_synthetic_benchmark,
-    mean_task_rank,
     routing_accuracy,
-    subset_ranks,
     train,
+)
+from rewardroute.evaluation import (
+    SubsetScores,
+    build_eval_report,
+    mean_task_rank,
+    subset_ranks,
     uplift_rate,
 )
 from rewardroute.router import TrainConfig

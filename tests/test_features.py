@@ -6,16 +6,14 @@ import pytest
 from rewardroute import (
     FeaturizerConfig,
     SyntheticSpec,
-    extract_ngrams,
     featurize,
     featurize_matrix,
-    fnv1a_64,
     load_dataset,
     load_registry,
     make_synthetic_benchmark,
     stable_hash,
 )
-from rewardroute.features import CHAR_PREFIX, FNV_OFFSET, FNV_PRIME
+from rewardroute.features import CHAR_PREFIX, FNV_OFFSET, FNV_PRIME, extract_ngrams, fnv1a_64
 from rewardroute.fixtures import fixture_path
 
 

@@ -9,11 +9,9 @@ from rewardroute import (
     Query,
     SyntheticSpec,
     make_synthetic_benchmark,
-    oracle_select,
     stub_response,
-    synthetic_registry,
 )
-from rewardroute.ranking import rmr_choice
+from rewardroute.ranking import oracle_select, rmr_choice, synthetic_registry
 
 from conftest import TINY_SPEC, make_dataset
 

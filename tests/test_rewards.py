@@ -5,14 +5,14 @@ import pytest
 from scipy.special import softmax
 
 from rewardroute import (
-    UNTAGGED,
     Query,
     aggregate_tag_rewards,
     enhance_labels,
     normalize_rewards,
     reward_entropy,
-    tag_mean_for_query,
 )
+from rewardroute.data import UNTAGGED
+from rewardroute.rewards import tag_mean_for_query
 
 from conftest import make_dataset
 

@@ -15,12 +15,11 @@ from rewardroute import (
     featurize_matrix,
     forward,
     init_router,
-    kl_loss,
     route,
     train,
 )
 from rewardroute.features import FeaturizerConfig
-from rewardroute.router import RouterModel, kl_objective
+from rewardroute.router import RouterModel, kl_loss, kl_objective
 
 from conftest import make_dataset
 
@@ -56,10 +55,10 @@ def test_kl_rejects_mismatched_lengths():
         kl_loss(np.array([0.5, 0.5]), np.array([1.0, 0.0, 0.0]))
 
 
-def _finite_difference_grads(weights, bias, x, targets, l2, reverse, step=1e-5):
+def _finite_difference_grads(weights, bias, x, targets, l2, step=1e-5):
     """Central differences on every coordinate, loss evaluated independently."""
     def loss_at(w, b):
-        return kl_objective(w, b, x, targets, l2_penalty=l2, reverse_kl=reverse)[0]
+        return kl_objective(w, b, x, targets, l2_penalty=l2)[0]
 
     grad_w = np.zeros_like(weights)
     for i in range(weights.shape[0]):
@@ -77,9 +76,8 @@ def _finite_difference_grads(weights, bias, x, targets, l2, reverse, step=1e-5):
     return grad_w, grad_b
 
 
-@pytest.mark.parametrize("reverse", [False, True])
 @pytest.mark.parametrize("l2", [0.0, 1e-3])
-def test_analytic_gradient_matches_finite_differences(reverse, l2):
+def test_analytic_gradient_matches_finite_differences(l2):
     rng = np.random.default_rng(17)
     k, d, n = 3, 10, 12
     weights = rng.normal(scale=0.5, size=(k, d))
@@ -87,8 +85,8 @@ def test_analytic_gradient_matches_finite_differences(reverse, l2):
     x = sparse.csr_matrix(rng.uniform(0, 1, size=(n, d)))
     targets = softmax(rng.normal(size=(n, k)), axis=1)
 
-    _, gw, gb = kl_objective(weights, bias, x, targets, l2_penalty=l2, reverse_kl=reverse)
-    fw, fb = _finite_difference_grads(weights, bias, x, targets, l2, reverse)
+    _, gw, gb = kl_objective(weights, bias, x, targets, l2_penalty=l2)
+    fw, fb = _finite_difference_grads(weights, bias, x, targets, l2)
 
     scale = max(np.abs(fw).max(), np.abs(fb).max())
     assert np.abs(gw - fw).max() / scale < 1e-4
@@ -209,16 +207,6 @@ def test_seed_changes_the_trained_model():
     b, _ = train(init_router(ds.registry, FeaturizerConfig(dimension=512), seed=1),
                  ds, table, TrainConfig(epochs=2, seed=1))
     assert not np.array_equal(a.weights, b.weights)
-
-
-def test_reverse_kl_trains_a_different_model():
-    ds = _overfit_dataset()
-    table = aggregate_tag_rewards(ds)
-    fwd, _ = train(init_router(ds.registry, FeaturizerConfig(dimension=512), seed=0),
-                   ds, table, TrainConfig(epochs=3, seed=0))
-    rev, _ = train(init_router(ds.registry, FeaturizerConfig(dimension=512), seed=0),
-                   ds, table, TrainConfig(epochs=3, seed=0, reverse_kl=True))
-    assert not np.array_equal(fwd.weights, rev.weights)
 
 
 def test_train_leaves_input_model_untouched():
