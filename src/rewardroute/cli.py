@@ -158,6 +158,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     save_checkpoint(trained, args.out)
     print(f"final loss {report.final_loss:.6f} on {report.row_count} rows; "
           f"checkpoint written to {args.out}")
+    print(f"train {report.wall_seconds:.3f}s: featurize {report.featurize_s:.3f}s, "
+          f"targets {report.targets_s:.3f}s, optimize {report.optimize_s:.3f}s, "
+          f"decay {report.decay_s:.3f}s", file=sys.stderr)
     return EXIT_OK
 
 

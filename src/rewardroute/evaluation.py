@@ -28,7 +28,8 @@ from .errors import DataFormatError
 from .features import featurize_matrix, stable_hash
 from .ranking import SyntheticSpec, make_synthetic_benchmark, oracle_select, rmr_choice
 from .rewards import aggregate_tag_rewards, normalize_rewards, reward_entropy
-from .router import RouterModel, TrainConfig, _optimize, build_targets, forward, init_router
+from .router import (RouterModel, TrainConfig, _compact, _optimize, build_targets, forward,
+                     init_router)
 
 
 @dataclass(frozen=True)
@@ -263,11 +264,13 @@ def beta_ablation(
     model = init_router(dataset.registry, seed=base.seed)
     x_train = featurize_matrix(model.featurizer_config, _texts(train_ds))
     x_eval = featurize_matrix(model.featurizer_config, _texts(eval_ds))
+    # Only beta differs between runs, so they share one compaction and replay.
+    compacted = _compact(model, x_train, base)
     accuracies = []
     for b in betas:
         config = replace(base, beta=b)
         targets = build_targets(train_ds, table, config.beta, config.temperature)
-        trained, _ = _optimize(model, x_train, targets, config)
+        trained, _ = _optimize(model, compacted, targets, config)
         accuracies.append(_accuracy(_routed_ids(trained, x_eval), eval_ds, oracle))
     return AblationResult(
         betas=list(betas), accuracies=accuracies,

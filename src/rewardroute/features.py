@@ -130,8 +130,12 @@ def featurize_matrix(config: FeaturizerConfig, texts: list[str]) -> sparse.csr_m
         cols.extend(indices)
         data.extend(weights.tolist())
         indptr.append(len(cols))
+    # scipy stores int32 indices whenever the shape and nnz fit; handing it
+    # that dtype spares it checking and converting int64 arrays on every call.
+    fits = max(len(texts), config.dimension, len(cols)) <= np.iinfo(np.int32).max
+    index_dtype = np.int32 if fits else np.int64
     return sparse.csr_matrix(
-        (np.array(data, dtype=np.float64), np.array(cols, dtype=np.int64),
-         np.array(indptr, dtype=np.int64)),
+        (np.array(data, dtype=np.float64), np.array(cols, dtype=index_dtype),
+         np.array(indptr, dtype=index_dtype)),
         shape=(len(texts), config.dimension),
     )

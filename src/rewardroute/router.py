@@ -6,6 +6,13 @@ plain mini-batch gradient descent on the mean KL divergence between the
 target distribution (softmax of tag-enhanced rewards) and the router's
 prediction, plus an L2 penalty on the weights. Everything is seeded and
 single-threaded, so identical inputs give bit-identical trained models.
+
+Training works on the feature columns the training rows touch: a few
+thousand of the 65,536 hashed columns. The descent runs on that K x |u|
+block with the rows compacted to it. Every other column has an exactly
+zero data gradient, so all it ever takes is the L2 step w -= lr * (l2 * w)
+once per mini-batch; that step is replayed on its own, and the result is
+bit-identical to descending on the full K x D matrix.
 """
 
 from __future__ import annotations
@@ -27,6 +34,10 @@ PROB_CLAMP = 1e-12
 INIT_SCALE = 0.01
 
 MODEL_FORMAT_VERSION = 1
+
+# The untouched-column replay runs this many weights at a time through all
+# of its steps, so each chunk stays in cache.
+_DECAY_CHUNK = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -97,6 +108,12 @@ class TrainReport:
     final_loss: float = float("nan")
     wall_seconds: float = 0.0
     row_count: int = 0
+    # Phases of wall_seconds: featurizing the rows, building the targets,
+    # the descent on the touched columns and the untouched-column replay.
+    featurize_s: float = 0.0
+    targets_s: float = 0.0
+    optimize_s: float = 0.0
+    decay_s: float = 0.0
 
 
 def init_router(
@@ -207,7 +224,8 @@ def train(
 
     The input model is left untouched; a trained copy is returned together
     with a report carrying the mean dataset KL after each epoch (penalty
-    excluded). Raises DivergenceError when the loss goes non-finite.
+    excluded) and the time spent in each phase. Raises DivergenceError when
+    the loss or a weight goes non-finite.
     """
     config = config or TrainConfig()
     if dataset.registry.ids != model.registry.ids:
@@ -216,43 +234,126 @@ def train(
     start = time.perf_counter()
     texts = [row.query.text for row in dataset.rows]
     x = featurize_matrix(model.featurizer_config, texts)
+    featurized = time.perf_counter()
     targets = build_targets(dataset, table, config.beta, config.temperature)
-    trained, report = _optimize(model, x, targets, config)
+    targeted = time.perf_counter()
+    compacted = _compact(model, x, config)
+    trained, report = _optimize(model, compacted, targets, config)
+    report.featurize_s = featurized - start
+    report.targets_s = targeted - featurized
+    report.decay_s = compacted.decay_s
+    report.optimize_s = time.perf_counter() - targeted - compacted.decay_s
     report.wall_seconds = time.perf_counter() - start
     return trained, report
 
 
-def _optimize(
-    model: RouterModel,
-    x: sparse.csr_matrix,
-    targets: np.ndarray,
-    config: TrainConfig,
-) -> tuple[RouterModel, TrainReport]:
-    """The gradient-descent loop of train() on already featurized rows."""
+@dataclass(frozen=True)
+class _Compacted:
+    """Training rows compacted to the columns they touch, plus the decayed rest.
+
+    decayed holds the untouched columns after every L2 step of a run, and
+    nonfinite_epoch the first epoch after which one of them is non-finite.
+    Neither depends on the targets, beta or seed, so runs that differ only
+    in those share one _Compacted.
+    """
+
+    x: sparse.csr_matrix   # (n, |touched|)
+    touched: np.ndarray    # sorted column ids with a nonzero in x
+    untouched: np.ndarray  # the other column ids, sorted
+    decayed: np.ndarray    # (K, |untouched|)
+    nonfinite_epoch: int | None
+    decay_s: float
+
+
+def _compact(model: RouterModel, x: sparse.csr_matrix, config: TrainConfig) -> _Compacted:
+    """Split the weight columns by whether x touches them and replay the rest."""
     n = x.shape[0]
     if n == 0:
         raise ValueError("cannot train on an empty dataset")
+    touched = np.unique(x.indices)
+    untouched = np.setdiff1d(np.arange(model.dimension), touched, assume_unique=True)
+    x_touched = sparse.csr_matrix(
+        (x.data, np.searchsorted(touched, x.indices).astype(x.indices.dtype), x.indptr),
+        shape=(n, len(touched)),
+    )
+    start = time.perf_counter()
+    steps_per_epoch = -(-n // config.batch_size)
+    decayed, nonfinite_epoch = _decay(model.weights[:, untouched], steps_per_epoch, config)
+    return _Compacted(x=x_touched, touched=touched, untouched=untouched, decayed=decayed,
+                      nonfinite_epoch=nonfinite_epoch, decay_s=time.perf_counter() - start)
+
+
+def _decay(block: np.ndarray, steps_per_epoch: int, config: TrainConfig,
+           ) -> tuple[np.ndarray, int | None]:
+    """Replay the L2-only step w -= lr * (l2 * w) on weight columns no row touches.
+
+    Such a column's data gradient is an exact 0.0, and w -= lr * (0.0 + l2 * w)
+    leaves the same bits as this step, so it is what the full-matrix descent
+    does to the column. Each weight evolves alone, so the block is replayed
+    chunk by chunk, an epoch at a time. Returns the block after
+    config.epochs epochs and the first epoch (0-based) that left a
+    non-finite weight, or None. Training stops at that epoch, so no chunk
+    is replayed past it.
+    """
+    block = np.array(block, order="C")  # replayed in place: never the caller's array
+    lr, l2 = config.learning_rate, config.l2_penalty
+    if l2 == 0:  # the step is w -= lr * 0.0, which changes no bit
+        return block, None
+    nonfinite_epoch = None
+    flat = block.reshape(-1)
+    scratch = np.empty(min(flat.size, _DECAY_CHUNK))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, flat.size, _DECAY_CHUNK):
+            w = flat[lo:lo + _DECAY_CHUNK]
+            step = scratch[:w.size]
+            for epoch in range(config.epochs if nonfinite_epoch is None else nonfinite_epoch):
+                for _ in range(steps_per_epoch):
+                    np.multiply(w, l2, out=step)
+                    np.multiply(step, lr, out=step)
+                    np.subtract(w, step, out=w)
+                if not np.all(np.isfinite(w)):
+                    nonfinite_epoch = epoch
+                    break
+    return block, nonfinite_epoch
+
+
+def _batch_grads(weights_t: np.ndarray, bias: np.ndarray, x: sparse.csr_matrix,
+                 targets: np.ndarray, l2_penalty: float) -> tuple[np.ndarray, np.ndarray]:
+    """kl_objective's gradients without its loss, on transposed (|touched| x K) weights."""
+    g = (_softmax_rows(x @ weights_t + bias) - targets) / x.shape[0]
+    return x.T @ g + l2_penalty * weights_t, g.sum(axis=0)
+
+
+def _optimize(
+    model: RouterModel,
+    compacted: _Compacted,
+    targets: np.ndarray,
+    config: TrainConfig,
+) -> tuple[RouterModel, TrainReport]:
+    """The gradient-descent loop of train() on compacted, featurized rows."""
+    x = compacted.x
+    n = x.shape[0]
     rng = np.random.default_rng(config.seed)
-    weights = model.weights.copy()
+    # Transposed (|touched| x K) and C-ordered, so CSR products take it as is.
+    weights_t = model.weights[:, compacted.touched].T.copy()
     bias = model.bias.copy()
 
     report = TrainReport(row_count=n)
     last_finite: float | None = None
     # Overflow is handled by the explicit finiteness check below, not warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(config.epochs):
+        for epoch in range(config.epochs):
             order = rng.permutation(n)
             for lo in range(0, n, config.batch_size):
                 idx = order[lo:lo + config.batch_size]
-                _, grad_w, grad_b = kl_objective(
-                    weights, bias, x[idx], targets[idx],
-                    l2_penalty=config.l2_penalty,
-                )
-                weights -= config.learning_rate * grad_w
+                grad_w, grad_b = _batch_grads(weights_t, bias, x[idx], targets[idx],
+                                              config.l2_penalty)
+                weights_t -= config.learning_rate * grad_w
                 bias -= config.learning_rate * grad_b
-            pred = _softmax_rows(x @ weights.T + bias)
+            pred = _softmax_rows(x @ weights_t + bias)
             epoch_loss = float(_kl_rows(pred, targets).mean())
-            if not np.isfinite(epoch_loss) or not np.all(np.isfinite(weights)):
+            if (not np.isfinite(epoch_loss) or not np.all(np.isfinite(weights_t))
+                    or epoch == compacted.nonfinite_epoch):
                 raise DivergenceError(
                     f"training diverged (non-finite loss) at learning_rate="
                     f"{config.learning_rate}; last finite loss was {last_finite}",
@@ -262,6 +363,9 @@ def _optimize(
             report.epoch_losses.append(epoch_loss)
 
     report.final_loss = report.epoch_losses[-1]
+    weights = np.empty_like(model.weights)
+    weights[:, compacted.touched] = weights_t.T
+    weights[:, compacted.untouched] = compacted.decayed
     return replace(model, weights=weights, bias=bias), report
 
 

@@ -346,6 +346,18 @@ def test_train_different_seed_changes_checkpoint(tmp_path, capsys):
     assert first.read_bytes() != second.read_bytes()
 
 
+def test_train_prints_phase_times_on_one_stderr_line(tmp_path, capsys):
+    code = main(["train", "--data", DATA, "--registry", REGISTRY,
+                 "--out", str(tmp_path / "router.ckpt"), *FAST_TRAIN])
+    captured = capsys.readouterr()
+    assert code == EXIT_OK
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    for phase in ("featurize", "targets", "optimize", "decay"):
+        assert f" {phase} " in lines[0]
+        assert phase not in captured.out
+
+
 # ---------------------------------------------------------------------------
 # synth
 # ---------------------------------------------------------------------------

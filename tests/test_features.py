@@ -13,6 +13,7 @@ from rewardroute import (
     make_synthetic_benchmark,
     stable_hash,
 )
+from rewardroute import features
 from rewardroute.features import CHAR_PREFIX, FNV_OFFSET, FNV_PRIME, extract_ngrams, fnv1a_64
 from rewardroute.fixtures import fixture_path
 
@@ -204,3 +205,22 @@ def test_featurize_matrix_golden_digests(name):
         for part in ("indptr", "indices", "data")
     }
     assert digests == GOLDEN_DIGESTS[name]
+
+
+def test_featurize_matrix_hands_scipy_the_index_dtype_it_stores(monkeypatch):
+    # scipy keeps int32 indices when the shape and nnz fit, int64 otherwise;
+    # given that dtype up front it has nothing to check or convert.
+    seen = []
+    real = features.sparse.csr_matrix
+
+    def spy(arg1, shape=None, **kwargs):
+        _, indices, indptr = arg1
+        seen.append((indices.dtype, indptr.dtype))
+        return real(arg1, shape=shape, **kwargs)
+
+    monkeypatch.setattr(features.sparse, "csr_matrix", spy)
+    narrow = featurize_matrix(FeaturizerConfig(), ["route this query", ""])
+    wide = featurize_matrix(FeaturizerConfig(dimension=2 ** 32), ["route this query"])
+    assert seen == [(np.int32, np.int32), (np.int64, np.int64)]
+    assert (narrow.indices.dtype, narrow.indptr.dtype) == (np.int32, np.int32)
+    assert (wide.indices.dtype, wide.indptr.dtype) == (np.int64, np.int64)

@@ -19,7 +19,7 @@ from rewardroute import (
     train,
 )
 from rewardroute.features import FeaturizerConfig
-from rewardroute.router import RouterModel, kl_loss, kl_objective
+from rewardroute.router import _DECAY_CHUNK, RouterModel, _decay, kl_loss, kl_objective
 
 from conftest import make_dataset
 
@@ -184,6 +184,49 @@ def test_training_reduces_loss(sample_dataset):
     _, report = train(model, sample_dataset, table, TrainConfig(epochs=10))
     assert report.final_loss < report.epoch_losses[0]
     assert report.wall_seconds > 0
+
+
+def test_train_report_phase_times_fit_in_wall_time(sample_dataset):
+    table = aggregate_tag_rewards(sample_dataset)
+    model = init_router(sample_dataset.registry, FeaturizerConfig(dimension=4096), seed=0)
+    _, report = train(model, sample_dataset, table, TrainConfig(epochs=3))
+    phases = [report.featurize_s, report.targets_s, report.optimize_s, report.decay_s]
+    assert all(p >= 0 for p in phases)
+    assert report.featurize_s > 0 and report.optimize_s > 0
+    assert sum(phases) <= report.wall_seconds
+
+
+def _stepwise_decay(block, steps_per_epoch, config):
+    """One whole-block L2 step at a time: the replay _decay must reproduce."""
+    w = block.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            for _ in range(steps_per_epoch):
+                w -= config.learning_rate * (config.l2_penalty * w)
+            if not np.all(np.isfinite(w)):
+                return w, epoch
+    return w, None
+
+
+def test_decay_replay_matches_stepwise_decay_across_chunks():
+    block = np.random.default_rng(0).uniform(-0.01, 0.01, size=(3, _DECAY_CHUNK))
+    config = TrainConfig(learning_rate=0.3, l2_penalty=0.7, epochs=4)
+    decayed, nonfinite_epoch = _decay(block, 5, config)
+    expected, _ = _stepwise_decay(block, 5, config)
+    assert nonfinite_epoch is None
+    assert decayed.tobytes() == expected.tobytes()
+    assert decayed.shape == block.shape
+
+
+@pytest.mark.parametrize("where", [(0, 0), (1, -1)])
+def test_decay_reports_the_first_nonfinite_epoch_of_any_chunk(where):
+    # lr * l2 = 3: each step multiplies a weight by -2, so 1e-3 overflows in
+    # epoch 344 and 1e300 in epoch 8, whether its chunk is replayed first or last.
+    block = np.full((2, _DECAY_CHUNK + 7), 1e-3)
+    config = TrainConfig(learning_rate=0.1, l2_penalty=30.0, epochs=400)
+    assert _decay(block, 3, config)[1] == _stepwise_decay(block, 3, config)[1] == 343
+    block[where] = 1e300
+    assert _decay(block, 3, config)[1] == _stepwise_decay(block, 3, config)[1] == 7
 
 
 def test_training_is_deterministic():
