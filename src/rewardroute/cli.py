@@ -21,11 +21,11 @@ import argparse
 import dataclasses
 import json
 import sys
-from pathlib import Path
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (
     apply_tag_rules,
+    load_benchmark_queries,
     load_dataset,
     load_oracle,
     load_registry,
@@ -33,6 +33,7 @@ from .data import (
     save_dataset,
     save_oracle,
     save_registry,
+    write_json_lines,
 )
 from .decontamination import decontaminate
 from .errors import (
@@ -56,32 +57,8 @@ EXIT_RUNTIME = 3
 DEFAULT_BETAS = [0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0]
 
 
-def _beta(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"beta must lie in [0, 1], got {value}")
-    return value
-
-
-def _beta_list(text: str) -> list[float]:
-    try:
-        return [_beta(part) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {value}")
-    return value
+def _float_list(text: str) -> list[float]:
+    return [float(part) for part in text.split(",") if part.strip()]
 
 
 def _add_format_flag(parser: argparse.ArgumentParser) -> None:
@@ -93,9 +70,7 @@ def _emit_results(args: argparse.Namespace, result: EvalReport | AblationResult)
     """Write the result's records to --out, then print them as --format asks."""
     records = result.to_records()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            for record in records:
-                fh.write(json.dumps(record) + "\n")
+        write_json_lines(args.out, records)
     if args.format == "records":
         for record in records:
             print(json.dumps(record))
@@ -112,17 +87,11 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.data, registry)
     removed: list[tuple[str, tuple[str, ...]]] = []
     if args.benchmarks:
-        benchmark_queries = [
-            line.strip()
-            for line in Path(args.benchmarks).read_text(encoding="utf-8").splitlines()
-            if line.strip()
-        ]
-        dataset, removed = decontaminate(dataset, benchmark_queries)
+        dataset, removed = decontaminate(dataset, load_benchmark_queries(args.benchmarks))
     save_dataset(dataset, args.out)
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            for qid, ngram in removed:
-                fh.write(json.dumps({"id": qid, "ngram": list(ngram)}) + "\n")
+        write_json_lines(args.report, ({"id": qid, "ngram": list(ngram)}
+                                       for qid, ngram in removed))
     print(f"kept {len(dataset)} rows, removed {len(removed)}")
     for qid, ngram in removed:
         print(f"removed {qid}: shares {' '.join(ngram)!r}")
@@ -141,17 +110,16 @@ def cmd_tag(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    registry = load_registry(args.registry)
-    dataset = load_dataset(args.data, registry)
     config = TrainConfig(
         learning_rate=args.lr, epochs=args.epochs, batch_size=args.batch_size,
         beta=args.beta, temperature=args.temperature, l2_penalty=args.l2,
         seed=args.seed,
     )
+    featurizer = FeaturizerConfig(dimension=args.dimension)
+    registry = load_registry(args.registry)
+    dataset = load_dataset(args.data, registry)
     table = aggregate_tag_rewards(dataset)
-    model = init_router(
-        registry, FeaturizerConfig(dimension=args.dimension), seed=args.seed
-    )
+    model = init_router(registry, featurizer, seed=args.seed)
     trained, report = train(model, dataset, table, config)
     for epoch, loss in enumerate(report.epoch_losses, start=1):
         print(f"epoch {epoch}/{config.epochs} loss {loss:.6f}")
@@ -175,10 +143,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_ablate(args: argparse.Namespace) -> int:
-    spec = SyntheticSpec.from_file(args.spec)
     config = TrainConfig(
         learning_rate=args.lr, epochs=args.epochs, seed=args.seed,
     )
+    for beta in args.betas:
+        dataclasses.replace(config, beta=beta)  # checks each beta before any file is read
+    spec = SyntheticSpec.from_file(args.spec)
     result = beta_ablation(spec, args.betas, config)
     _emit_results(args, result)
     return EXIT_OK
@@ -254,15 +224,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--registry", required=True)
     p.add_argument("--out", required=True, help="checkpoint output path")
-    p.add_argument("--beta", type=_beta, default=0.3,
+    p.add_argument("--beta", type=float, default=0.3,
                    help="weight on per-query rewards vs tag means")
-    p.add_argument("--temperature", type=_positive_float, default=1.0)
-    p.add_argument("--lr", type=_positive_float, default=0.1)
-    p.add_argument("--epochs", type=_positive_int, default=20)
-    p.add_argument("--batch-size", type=_positive_int, default=64)
+    p.add_argument("--temperature", type=float, default=1.0)
+    p.add_argument("--lr", type=float, default=0.1)
+    p.add_argument("--epochs", type=int, default=20)
+    p.add_argument("--batch-size", type=int, default=64)
     p.add_argument("--l2", type=float, default=1e-6)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dimension", type=_positive_int, default=65536,
+    p.add_argument("--dimension", type=int, default=65536,
                    help="hashed feature dimension")
     p.set_defaults(func=cmd_train)
 
@@ -279,11 +249,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ablate", help="sweep the label-smoothing weight")
     p.add_argument("--spec", required=True, help="synthetic benchmark spec JSON")
-    p.add_argument("--betas", type=_beta_list,
+    p.add_argument("--betas", type=_float_list,
                    default=DEFAULT_BETAS,
                    help="comma-separated weights, e.g. 0,0.3,1.0")
-    p.add_argument("--lr", type=_positive_float, default=0.1)
-    p.add_argument("--epochs", type=_positive_int, default=20)
+    p.add_argument("--lr", type=float, default=0.1)
+    p.add_argument("--epochs", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="also write JSON records here")
     _add_format_flag(p)
@@ -320,16 +290,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
         return args.func(args)
-    except (DataFormatError, CheckpointError) as exc:
+    except (DataFormatError, CheckpointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except DivergenceError as exc:
-        print(f"error: {exc} (last finite loss {exc.last_finite_loss})", file=sys.stderr)
-        return EXIT_RUNTIME
-    except GatewayError as exc:
+    except (DivergenceError, GatewayError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except ValueError as exc:

@@ -1,7 +1,9 @@
-"""Core data containers and file IO.
+"""Core data containers, and every text file format: read, check, write.
 
-The on-disk formats are line-delimited JSON (one record per line, UTF-8);
-see docs/file_formats.md for the field-by-field description. Reward vectors
+This is the one module that reads the package's JSON and JSON-lines files
+(see docs/file_formats.md for the field-by-field description). Each field
+is checked where it is read, and any unreadable, malformed or mistyped
+input is a DataFormatError naming the file or line. Reward vectors
 are float64 numpy arrays whose entries follow the registry's canonical
 model order everywhere in the package.
 """
@@ -11,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -119,8 +121,89 @@ class RewardDataset:
 
 
 # ---------------------------------------------------------------------------
-# registry / dataset / oracle file IO
+# reading, checking and writing files
 # ---------------------------------------------------------------------------
+
+def _read_text(path: Path, what: str) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataFormatError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def read_json(path: str | Path, what: str) -> dict:
+    """Parse a JSON file holding one object; `what` names the file in errors."""
+    path = Path(path)
+    try:
+        raw = json.loads(_read_text(path, what))
+    except json.JSONDecodeError as exc:
+        raise DataFormatError(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise DataFormatError(f"{what} {path} must be a JSON object")
+    return raw
+
+
+def _read_json_lines(path: str | Path, what: str, label: str = "") -> Iterator[tuple[str, dict]]:
+    """Yield ("<label>line N", record) for each non-blank line, which must hold an object."""
+    for lineno, line in enumerate(_read_text(Path(path), what).splitlines(), start=1):
+        if not line.strip():
+            continue
+        where = f"{label}line {lineno}"
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataFormatError(f"{where}: invalid JSON ({exc.msg})") from exc
+        if not isinstance(rec, dict):
+            raise DataFormatError(f"{where}: record is not a JSON object")
+        yield where, rec
+
+
+def write_json_lines(path: str | Path, records: Iterable[dict]) -> None:
+    """Write one JSON object per line. Output bytes are deterministic."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for rec in records:
+            fh.write(json.dumps(rec) + "\n")
+
+
+def require_fields(rec: Mapping, keys: Iterable[str], where: str) -> None:
+    for key in keys:
+        if key not in rec:
+            raise DataFormatError(f"{where}: missing field {key!r}")
+
+
+def check_str(value, where: str, name: str) -> str:
+    if not isinstance(value, str):
+        raise DataFormatError(f"{where}: {name} must be a string, got {value!r}")
+    return value
+
+
+def check_strings(value, where: str, name: str) -> list[str]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise DataFormatError(f"{where}: {name} must be a list of strings, got {value!r}")
+    return value
+
+
+def to_number(convert: type[int] | type[float], value, where: str, name: str):
+    """convert(value), with a value that does not convert reported as a DataFormatError."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        kind = "an integer" if convert is int else "a number"
+        raise DataFormatError(f"{where}: {name} must be {kind}, got {value!r}") from None
+
+
+def _model_vector(values, registry: ModelRegistry, where: str, field: str,
+                  noun: str) -> np.ndarray:
+    """A {model_id: number} object as a float64 vector in registry order."""
+    if not isinstance(values, dict):
+        raise DataFormatError(f"{where}: {field!r} must be an object")
+    vector = np.empty(len(registry), dtype=np.float64)
+    for j, model_id in enumerate(registry.ids):
+        if model_id not in values:
+            raise DataFormatError(f"{where}: missing {noun} for model {model_id!r}")
+        vector[j] = to_number(float, values[model_id], where, f"{noun} for model {model_id!r}")
+    return vector
+
 
 def read_registry_file(path: str | Path) -> tuple[ModelRegistry, list[dict]]:
     """Parse a registry JSON file into its registry and its raw entries, in order.
@@ -128,20 +211,17 @@ def read_registry_file(path: str | Path) -> tuple[ModelRegistry, list[dict]]:
     The file is {"models": [{"model_id": ...}, ...]}; keys other than
     "model_id" are left in the entries for the caller that needs them.
     """
-    path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise DataFormatError(f"cannot read registry file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"registry file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict) or not isinstance(raw.get("models"), list):
+    raw = read_json(path, "registry file")
+    entries = raw.get("models")
+    if not isinstance(entries, list):
         raise DataFormatError(f"registry file {path} must contain a 'models' list")
-    entries = raw["models"]
+    ids = []
     for i, entry in enumerate(entries):
+        where = f"registry file {path}: entry {i}"
         if not isinstance(entry, dict) or "model_id" not in entry:
-            raise DataFormatError(f"registry file {path}: entry {i} has no 'model_id'")
-    return ModelRegistry(tuple(str(e["model_id"]) for e in entries)), entries
+            raise DataFormatError(f"{where} has no 'model_id'")
+        ids.append(check_str(entry["model_id"], where, "'model_id'"))
+    return ModelRegistry(tuple(ids)), entries
 
 
 def load_registry(path: str | Path) -> ModelRegistry:
@@ -157,62 +237,36 @@ def save_registry(registry: ModelRegistry, path: str | Path) -> None:
     )
 
 
-def _parse_dataset_line(line: str, lineno: int, registry: ModelRegistry) -> DatasetRow:
-    try:
-        rec = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
-    if not isinstance(rec, dict):
-        raise DataFormatError(f"line {lineno}: record is not a JSON object")
-    for key in ("id", "query", "rewards"):
-        if key not in rec:
-            raise DataFormatError(f"line {lineno}: missing field {key!r}")
-    rewards_raw = rec["rewards"]
-    if not isinstance(rewards_raw, dict):
-        raise DataFormatError(f"line {lineno}: 'rewards' must be an object")
-    for model_id in rewards_raw:
+def _dataset_row(where: str, rec: dict, registry: ModelRegistry) -> DatasetRow:
+    require_fields(rec, ("id", "query", "rewards"), where)
+    rewards = _model_vector(rec["rewards"], registry, where, "rewards", "reward entry")
+    for model_id in rec["rewards"]:
         if model_id not in registry.ids:
-            raise DataFormatError(
-                f"line {lineno}: reward for unregistered model {model_id!r}"
-            )
-    values = np.empty(len(registry), dtype=np.float64)
-    for j, model_id in enumerate(registry.ids):
-        if model_id not in rewards_raw:
-            raise DataFormatError(
-                f"line {lineno}: missing reward entry for model {model_id!r}"
-            )
-        values[j] = float(rewards_raw[model_id])
+            raise DataFormatError(f"{where}: reward for unregistered model {model_id!r}")
+    qid = check_str(rec["id"], where, "'id'")
+    text = check_str(rec["query"], where, "'query'")
+    tags, subset = rec.get("tags"), rec.get("subset")
+    tags = frozenset(() if tags is None else check_strings(tags, where, "'tags'"))
+    subset = None if subset is None else check_str(subset, where, "'subset'")
     try:
-        query = Query(
-            id=str(rec["id"]),
-            text=str(rec["query"]),
-            tags=frozenset(rec.get("tags") or ()),
-            subset=rec.get("subset"),
-        )
-        return DatasetRow(query=query, rewards=values)
+        return DatasetRow(query=Query(qid, text, tags, subset), rewards=rewards)
     except DataFormatError as exc:
-        raise DataFormatError(f"line {lineno}: {exc}") from exc
+        raise DataFormatError(f"{where}: {exc}") from exc
 
 
 def load_dataset(path: str | Path, registry: ModelRegistry) -> RewardDataset:
     """Read a line-delimited dataset file, validating every record.
 
     Raises DataFormatError with the offending line number on parse errors,
-    unknown or missing model ids, duplicate query ids, or an empty file.
+    mistyped fields, unknown or missing model ids, duplicate query ids, or
+    an empty file.
     """
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataFormatError(f"cannot read dataset file {path}: {exc}") from exc
     rows: list[DatasetRow] = []
     seen: set[str] = set()
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        row = _parse_dataset_line(line, lineno, registry)
+    for where, rec in _read_json_lines(path, "dataset file"):
+        row = _dataset_row(where, rec, registry)
         if row.query.id in seen:
-            raise DataFormatError(f"line {lineno}: duplicate query id {row.query.id!r}")
+            raise DataFormatError(f"{where}: duplicate query id {row.query.id!r}")
         seen.add(row.query.id)
         rows.append(row)
     if not rows:
@@ -230,46 +284,31 @@ def dataset_record(row: DatasetRow, registry: ModelRegistry) -> dict:
 
 
 def save_dataset(dataset: RewardDataset, path: str | Path) -> None:
-    """Write a dataset as line-delimited JSON. Output bytes are deterministic."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in dataset.rows:
-            fh.write(json.dumps(dataset_record(row, dataset.registry)) + "\n")
+    write_json_lines(path, (dataset_record(row, dataset.registry) for row in dataset.rows))
 
 
 def load_oracle(path: str | Path, registry: ModelRegistry) -> dict[str, np.ndarray]:
     """Read an oracle file: one {"id": ..., "scores": {model: value}} per line."""
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataFormatError(f"cannot read oracle file {path}: {exc}") from exc
     oracle: dict[str, np.ndarray] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"oracle line {lineno}: invalid JSON ({exc.msg})") from exc
-        if "id" not in rec or "scores" not in rec:
-            raise DataFormatError(f"oracle line {lineno}: need 'id' and 'scores'")
-        values = np.empty(len(registry), dtype=np.float64)
-        for j, model_id in enumerate(registry.ids):
-            if model_id not in rec["scores"]:
-                raise DataFormatError(
-                    f"oracle line {lineno}: missing score for model {model_id!r}"
-                )
-            values[j] = float(rec["scores"][model_id])
-        oracle[str(rec["id"])] = values
+    for where, rec in _read_json_lines(path, "oracle file", "oracle "):
+        require_fields(rec, ("id", "scores"), where)
+        scores = _model_vector(rec["scores"], registry, where, "scores", "score")
+        oracle[check_str(rec["id"], where, "'id'")] = scores
     return oracle
 
 
 def save_oracle(oracle: Mapping[str, np.ndarray], registry: ModelRegistry,
                 path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for qid, values in oracle.items():
-            rec = {"id": qid, "scores": {m: float(v) for m, v in zip(registry.ids, values)}}
-            fh.write(json.dumps(rec) + "\n")
+    write_json_lines(path, (
+        {"id": qid, "scores": {m: float(v) for m, v in zip(registry.ids, values)}}
+        for qid, values in oracle.items()
+    ))
+
+
+def load_benchmark_queries(path: str | Path) -> list[str]:
+    """Benchmark query texts: one per non-blank line, stripped."""
+    lines = _read_text(Path(path), "benchmark file").splitlines()
+    return [line.strip() for line in lines if line.strip()]
 
 
 # ---------------------------------------------------------------------------
@@ -278,21 +317,9 @@ def save_oracle(oracle: Mapping[str, np.ndarray], registry: ModelRegistry,
 
 def load_tag_rules(path: str | Path) -> dict[str, list[str]]:
     """Read a rules JSON file mapping tag -> list of keywords."""
-    path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise DataFormatError(f"cannot read rules file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"rules file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise DataFormatError(f"rules file {path} must be a JSON object")
-    rules: dict[str, list[str]] = {}
-    for tag, keywords in raw.items():
-        if not isinstance(keywords, list) or not all(isinstance(k, str) for k in keywords):
-            raise DataFormatError(f"rules file {path}: tag {tag!r} needs a list of strings")
-        rules[str(tag)] = keywords
-    return rules
+    raw = read_json(path, "rules file")
+    return {tag: check_strings(keywords, f"rules file {path}", f"tag {tag!r}")
+            for tag, keywords in raw.items()}
 
 
 def apply_tag_rules(dataset: RewardDataset, rules: Mapping[str, list[str]]) -> RewardDataset:

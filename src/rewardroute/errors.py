@@ -14,7 +14,7 @@ class CheckpointError(RewardRouteError):
 
 
 class DivergenceError(RewardRouteError):
-    """Training produced a non-finite loss, usually a too-large learning rate."""
+    """Training produced a non-finite loss or weight, usually a too-large learning rate."""
 
     def __init__(self, message: str, last_finite_loss: float | None = None):
         super().__init__(message)

@@ -255,9 +255,7 @@ def beta_ablation(
     seeds, so the table is a pure function of (spec, betas, train_config).
     """
     base = train_config or TrainConfig()
-    for b in betas:
-        if not 0.0 <= b <= 1.0:
-            raise ValueError(f"beta values must lie in [0, 1], got {b}")
+    configs = [replace(base, beta=b) for b in betas]  # TrainConfig checks each beta
     dataset, oracle = make_synthetic_benchmark(spec)
     train_ds, eval_ds = holdout_split(dataset)
     table = aggregate_tag_rewards(train_ds)
@@ -267,8 +265,7 @@ def beta_ablation(
     # Only beta differs between runs, so they share one compaction and replay.
     compacted = _compact(model, x_train, base)
     accuracies = []
-    for b in betas:
-        config = replace(base, beta=b)
+    for config in configs:
         targets = build_targets(train_ds, table, config.beta, config.temperature)
         trained, _ = _optimize(model, compacted, targets, config)
         accuracies.append(_accuracy(_routed_ids(trained, x_eval), eval_ds, oracle))

@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import load_checkpoint
-from .data import read_registry_file
+from .data import check_str, read_json, read_registry_file, require_fields, to_number
 from .errors import DataFormatError, GatewayError
 from .router import RouterModel, route
 
@@ -65,22 +65,15 @@ class GatewayConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "GatewayConfig":
-        base = Path(path).parent
-        try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise DataFormatError(f"cannot read gateway config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"gateway config {path} is not valid JSON: {exc}") from exc
-        for key in ("checkpoint", "registry"):
-            if key not in raw:
-                raise DataFormatError(f"gateway config {path}: missing field {key!r}")
+        raw = read_json(path, "gateway config")
+        where = f"gateway config {path}"
+        require_fields(raw, ("checkpoint", "registry"), where)
 
-        def _resolve(p: str) -> str:
-            q = Path(p)
-            return str(q if q.is_absolute() else base / q)
+        def _path(key: str) -> str:
+            q = Path(check_str(raw[key], where, repr(key)))
+            return str(q if q.is_absolute() else Path(path).parent / q)
 
-        registry_path = _resolve(raw["registry"])
+        registry_path = _path("registry")
         registry, entries = read_registry_file(registry_path)
         endpoints = {m: e["endpoint"] for m, e in zip(registry.ids, entries)
                      if e.get("endpoint") is not None}
@@ -89,15 +82,17 @@ class GatewayConfig:
             raise DataFormatError(
                 f"registry file {registry_path}: endpoint of {bad} is not a string"
             )
+        fallback = raw.get("fallback_model_id")
         return cls(
-            checkpoint_path=_resolve(raw["checkpoint"]),
+            checkpoint_path=_path("checkpoint"),
             endpoints=endpoints,
-            host=raw.get("host", "127.0.0.1"),
-            port=int(raw.get("port", 8080)),
-            timeout_ms=int(raw.get("timeout_ms", 30000)),
-            max_in_flight=int(raw.get("max_in_flight", 256)),
-            fallback_model_id=raw.get("fallback_model_id"),
-            route_log_path=_resolve(raw["route_log"]) if raw.get("route_log") else None,
+            host=check_str(raw.get("host", "127.0.0.1"), where, "'host'"),
+            port=to_number(int, raw.get("port", 8080), where, "'port'"),
+            timeout_ms=to_number(int, raw.get("timeout_ms", 30000), where, "'timeout_ms'"),
+            max_in_flight=to_number(int, raw.get("max_in_flight", 256), where, "'max_in_flight'"),
+            fallback_model_id=(None if fallback is None
+                               else check_str(fallback, where, "'fallback_model_id'")),
+            route_log_path=_path("route_log") if raw.get("route_log") else None,
         )
 
 

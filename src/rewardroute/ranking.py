@@ -12,13 +12,13 @@ is known by construction.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .data import DatasetRow, ModelRegistry, Query, RewardDataset
+from .data import (DatasetRow, ModelRegistry, Query, RewardDataset, check_strings, read_json,
+                   to_number)
 from .errors import DataFormatError
 
 
@@ -92,25 +92,26 @@ class SyntheticSpec:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "SyntheticSpec":
+        raw = read_json(path, "synthetic spec")
+        where = f"synthetic spec {path}"
         try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise DataFormatError(f"cannot read synthetic spec {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"synthetic spec {path} is not valid JSON: {exc}") from exc
-        try:
+            if not isinstance(raw["clusters"], dict):
+                raise DataFormatError(f"{where}: 'clusters' must be an object")
             return cls(
-                num_models=int(raw["num_models"]),
-                clusters={str(t): list(v) for t, v in raw["clusters"].items()},
-                queries_per_cluster=int(raw["queries_per_cluster"]),
-                expertise_margin=float(raw["expertise_margin"]),
-                noise_sigma=float(raw["noise_sigma"]),
-                seed=int(raw["seed"]),
+                num_models=to_number(int, raw["num_models"], where, "'num_models'"),
+                clusters={tag: check_strings(words, where, f"cluster {tag!r}")
+                          for tag, words in raw["clusters"].items()},
+                queries_per_cluster=to_number(int, raw["queries_per_cluster"], where,
+                                              "'queries_per_cluster'"),
+                expertise_margin=to_number(float, raw["expertise_margin"], where,
+                                           "'expertise_margin'"),
+                noise_sigma=to_number(float, raw["noise_sigma"], where, "'noise_sigma'"),
+                seed=to_number(int, raw["seed"], where, "'seed'"),
                 expertise=raw.get("expertise"),
                 words_per_query=tuple(raw.get("words_per_query", (6, 12))),
             )
         except (KeyError, TypeError, ValueError) as exc:
-            raise DataFormatError(f"synthetic spec {path} is malformed: {exc}") from exc
+            raise DataFormatError(f"{where} is malformed: {exc}") from exc
 
 
 def synthetic_registry(num_models: int) -> ModelRegistry:

@@ -88,6 +88,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("learning_rate", "temperature", "l2_penalty"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if self.epochs < 1:
@@ -352,10 +355,11 @@ def _optimize(
                 bias -= config.learning_rate * grad_b
             pred = _softmax_rows(x @ weights_t + bias)
             epoch_loss = float(_kl_rows(pred, targets).mean())
-            if (not np.isfinite(epoch_loss) or not np.all(np.isfinite(weights_t))
-                    or epoch == compacted.nonfinite_epoch):
+            weights_ok = np.all(np.isfinite(weights_t)) and epoch != compacted.nonfinite_epoch
+            if not (np.isfinite(epoch_loss) and weights_ok):
+                what = "weight" if np.isfinite(epoch_loss) else "loss"
                 raise DivergenceError(
-                    f"training diverged (non-finite loss) at learning_rate="
+                    f"training diverged (non-finite {what}) at learning_rate="
                     f"{config.learning_rate}; last finite loss was {last_finite}",
                     last_finite_loss=last_finite,
                 )

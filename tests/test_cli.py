@@ -141,6 +141,19 @@ def test_bad_beta_list_is_usage_error(tiny_spec_file, capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--lr", "nan"), ("--lr", "inf"), ("--temperature", "inf"), ("--temperature", "nan"),
+    ("--l2", "nan"), ("--l2", "inf"), ("--epochs", "0"), ("--dimension", "1"),
+])
+def test_bad_train_number_is_usage_error_before_any_file_is_read(flag, value, tmp_path, capsys):
+    code = main(["train", "--data", str(tmp_path / "missing.jsonl"), "--registry", REGISTRY,
+                 "--out", str(tmp_path / "x.ckpt"), flag, value])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert "missing.jsonl" not in err
+    assert not (tmp_path / "x.ckpt").exists()
+
+
 # ---------------------------------------------------------------------------
 # data errors
 # ---------------------------------------------------------------------------
@@ -192,6 +205,16 @@ def test_divergent_training_exits_runtime_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == EXIT_RUNTIME
     assert "last finite loss" in err
+
+
+def test_divergence_prints_the_last_finite_loss_once(tmp_path, capsys):
+    code = main(["train", "--data", DATA, "--registry", REGISTRY,
+                 "--out", str(tmp_path / "x.ckpt"),
+                 "--dimension", "512", "--epochs", "6", "--lr", "1e300"])
+    err = capsys.readouterr().err
+    assert code == EXIT_RUNTIME
+    assert err.count("last finite loss") == 1
+    assert len(err.splitlines()) == 1
 
 
 def test_serve_on_occupied_port_exits_runtime_error(tmp_path, ckpt, capsys):

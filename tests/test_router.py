@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -268,6 +269,31 @@ def test_divergence_raises_with_last_finite_loss():
     with pytest.raises(DivergenceError) as excinfo:
         train(model, ds, table, TrainConfig(learning_rate=1e300, epochs=8))
     assert "diverged" in str(excinfo.value)
+
+
+def test_divergence_names_what_went_non_finite():
+    ds = _overfit_dataset()
+    table = aggregate_tag_rewards(ds)
+    model = init_router(ds.registry, FeaturizerConfig(dimension=512), seed=0)
+    with pytest.raises(DivergenceError, match="non-finite loss"):
+        train(model, ds, table, TrainConfig(learning_rate=1e300, epochs=8))
+    # Columns no row touches start near 1e300 and overflow alone; the loss
+    # never sees them and stays finite.
+    x = featurize_matrix(model.featurizer_config, [r.query.text for r in ds.rows])
+    weights = model.weights.copy()
+    weights[:, np.setdiff1d(np.arange(512), x.indices)] *= 1e302
+    config = TrainConfig(learning_rate=0.1, l2_penalty=30, epochs=40, batch_size=2)
+    with pytest.raises(DivergenceError) as excinfo:
+        train(replace(model, weights=weights), ds, table, config)
+    assert "non-finite weight" in str(excinfo.value)
+    assert "non-finite loss" not in str(excinfo.value)
+
+
+@pytest.mark.parametrize("name", ["learning_rate", "temperature", "l2_penalty"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_train_config_rejects_non_finite_numbers(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        TrainConfig(**{name: value})
 
 
 def test_train_rejects_registry_mismatch():
