@@ -293,7 +293,10 @@ def load_oracle(path: str | Path, registry: ModelRegistry) -> dict[str, np.ndarr
     for where, rec in _read_json_lines(path, "oracle file", "oracle "):
         require_fields(rec, ("id", "scores"), where)
         scores = _model_vector(rec["scores"], registry, where, "scores", "score")
-        oracle[check_str(rec["id"], where, "'id'")] = scores
+        qid = check_str(rec["id"], where, "'id'")
+        if qid in oracle:
+            raise DataFormatError(f"{where}: duplicate query id {qid!r}")
+        oracle[qid] = scores
     return oracle
 
 

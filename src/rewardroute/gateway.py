@@ -96,8 +96,8 @@ class GatewayConfig:
         )
 
 
-# The /metrics quantiles cover only the last LATENCY_WINDOW successful
-# /generate requests: every scrape sorts the window under the lock that every
+# The /metrics quantiles cover only the last LATENCY_WINDOW admitted requests
+# with a valid query: every scrape sorts the window under the lock that every
 # request takes, so its cost must not grow with uptime.
 LATENCY_WINDOW = 4096
 
@@ -110,6 +110,7 @@ class Metrics:
         self.routed: dict[str, int] = {}
         self.errors: dict[str, int] = {}
         self.in_flight = 0
+        self.latency_count = 0
         self._latencies_ms: deque[float] = deque(maxlen=LATENCY_WINDOW)
 
     def record_routed(self, model_id: str) -> None:
@@ -122,6 +123,7 @@ class Metrics:
 
     def record_latency(self, ms: float) -> None:
         with self._lock:
+            self.latency_count += 1
             self._latencies_ms.append(ms)
 
     def admit(self, limit: int) -> bool:
@@ -147,6 +149,7 @@ class Metrics:
                 "errors_total": sum(self.errors.values()),
                 "latency_ms_p50": float(np.percentile(lat, 50)) if lat is not None else None,
                 "latency_ms_p95": float(np.percentile(lat, 95)) if lat is not None else None,
+                "latency_ms_count": self.latency_count,
                 "in_flight": self.in_flight,
             }
 
@@ -162,6 +165,7 @@ class Metrics:
         for q, key in (("0.5", "latency_ms_p50"), ("0.95", "latency_ms_p95")):
             if snap[key] is not None:
                 lines.append(f'gateway_latency_ms{{quantile="{q}"}} {snap[key]:.3f}')
+        lines.append(f"gateway_latency_ms_count {snap['latency_ms_count']}")
         lines.append(f"gateway_in_flight {snap['in_flight']}")
         return "\n".join(lines) + "\n"
 
@@ -368,6 +372,7 @@ class Gateway:
                 return 400, {"error": error}
             if path == "/route":
                 model_id, probs = self._decide(self.model, text)
+                self.metrics.record_latency((time.perf_counter() - started) * 1000.0)
                 return 200, {
                     "model_id": model_id,
                     "distribution": probs,
@@ -421,6 +426,7 @@ class Gateway:
             self.metrics.record_error("timeout" if status == "timeout" else "backend")
 
         latency_ms = (time.perf_counter() - started) * 1000.0
+        self.metrics.record_latency(latency_ms)
         self._append_route_record(request_id, text, model_id, served_by,
                                   probs, latency_ms, status, failover)
         if response_text is None:
@@ -429,7 +435,6 @@ class Gateway:
                 "model_id": model_id,
                 "request_id": request_id,
             }
-        self.metrics.record_latency(latency_ms)
         return 200, {
             "model_id": served_by,
             "text": response_text,

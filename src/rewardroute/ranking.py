@@ -89,6 +89,22 @@ class SyntheticSpec:
                 f"{len(self.clusters)} clusters but {self.num_models} models; "
                 "give an explicit expertise map or one cluster per model"
             )
+        if self.expertise is not None:
+            if not isinstance(self.expertise, dict):
+                raise ValueError("expertise must map each cluster to a model id")
+            missing = [tag for tag in self.clusters if tag not in self.expertise]
+            if missing:
+                raise ValueError(f"expertise map leaves out cluster(s) {missing}")
+            models = synthetic_registry(self.num_models).ids
+            unknown = [m for m in self.expertise.values() if m not in models]
+            if unknown:
+                raise ValueError(f"expertise map names unknown model(s) {unknown}; "
+                                 f"the models are {list(models)}")
+        span = self.words_per_query
+        if not (isinstance(span, (tuple, list)) and len(span) == 2
+                and all(isinstance(n, int) for n in span) and 1 <= span[0] <= span[1]):
+            raise ValueError(f"words_per_query must be two integers 1 <= lo <= hi, got {span!r}")
+        object.__setattr__(self, "words_per_query", tuple(span))
 
     @classmethod
     def from_file(cls, path: str | Path) -> "SyntheticSpec":
@@ -108,7 +124,7 @@ class SyntheticSpec:
                 noise_sigma=to_number(float, raw["noise_sigma"], where, "'noise_sigma'"),
                 seed=to_number(int, raw["seed"], where, "'seed'"),
                 expertise=raw.get("expertise"),
-                words_per_query=tuple(raw.get("words_per_query", (6, 12))),
+                words_per_query=raw.get("words_per_query", (6, 12)),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise DataFormatError(f"{where} is malformed: {exc}") from exc
@@ -133,8 +149,6 @@ def make_synthetic_benchmark(
         expertise = dict(spec.expertise)
     else:
         expertise = {tag: registry.ids[i] for i, tag in enumerate(spec.clusters)}
-    for tag, model_id in expertise.items():
-        registry.index_of(model_id)  # validates
 
     rng = np.random.default_rng(spec.seed)
     lo, hi = spec.words_per_query

@@ -2,6 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from rewardroute import (
     FeaturizerConfig,
@@ -14,8 +15,12 @@ from rewardroute import (
     stable_hash,
 )
 from rewardroute import features
-from rewardroute.features import CHAR_PREFIX, FNV_OFFSET, FNV_PRIME, extract_ngrams, fnv1a_64
+from rewardroute.features import CHAR_PREFIX, FNV_OFFSET, FNV_PRIME, fnv1a_64
 from rewardroute.fixtures import fixture_path
+
+# featurize_matrix hashes in uint64 arrays, which wrap silently; a np.uint64
+# scalar step would warn on every call (and print on the gateway's stderr).
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def reference_fnv1a(data: bytes) -> int:
@@ -24,6 +29,59 @@ def reference_fnv1a(data: bytes) -> int:
     for b in data:
         h = ((h ^ b) * FNV_PRIME) % 2 ** 64
     return h
+
+
+def extract_ngrams(
+    text: str,
+    word_range: tuple[int, int] | None,
+    char_range: tuple[int, int] | None,
+) -> list[str]:
+    """All word n-grams (space-joined) then all char n-grams ("c#"-prefixed).
+
+    Either range may be None to skip that family. Word n-grams are emitted
+    shortest order first, in text order within each order; char n-grams run
+    over the raw string including spaces.
+    """
+    grams: list[str] = []
+    if word_range is not None:
+        words = text.split()
+        lo, hi = word_range
+        for n in range(lo, hi + 1):
+            for i in range(len(words) - n + 1):
+                grams.append(" ".join(words[i:i + n]))
+    if char_range is not None:
+        lo, hi = char_range
+        for n in range(lo, hi + 1):
+            for i in range(len(text) - n + 1):
+                grams.append(CHAR_PREFIX + text[i:i + n])
+    return grams
+
+
+def reference_featurize_matrix(config: FeaturizerConfig, texts: list[str]) -> sparse.csr_matrix:
+    """The documented recipe one gram at a time: the reference featurize_matrix must equal."""
+    indptr, cols, data = [0], [], []
+    for text in texts:
+        counts: dict[int, float] = {}
+        if text.strip():
+            if config.lowercase:
+                text = text.lower()
+            for gram in extract_ngrams(text, config.word_ngram_range, config.char_ngram_range):
+                idx = fnv1a_64(gram.encode("utf-8")) % config.dimension
+                counts[idx] = counts.get(idx, 0.0) + 1.0
+        indices = sorted(counts)
+        weights = np.array([counts[i] for i in indices], dtype=np.float64)
+        if indices:
+            weights /= np.linalg.norm(weights)
+        cols.extend(indices)
+        data.extend(weights.tolist())
+        indptr.append(len(cols))
+    fits = max(len(texts), config.dimension, len(cols)) <= np.iinfo(np.int32).max
+    index_dtype = np.int32 if fits else np.int64
+    return sparse.csr_matrix(
+        (np.array(data, dtype=np.float64), np.array(cols, dtype=index_dtype),
+         np.array(indptr, dtype=index_dtype)),
+        shape=(len(texts), config.dimension),
+    )
 
 
 def test_fnv1a_known_vectors():
@@ -224,3 +282,45 @@ def test_featurize_matrix_hands_scipy_the_index_dtype_it_stores(monkeypatch):
     assert seen == [(np.int32, np.int32), (np.int64, np.int64)]
     assert (narrow.indices.dtype, narrow.indptr.dtype) == (np.int32, np.int32)
     assert (wide.indices.dtype, wide.indptr.dtype) == (np.int64, np.int64)
+
+
+# Pieces of generated text: ASCII, 2-, 3- and 4-byte code points (emoji
+# among them), Unicode whitespace that str.split() breaks on, and characters
+# whose lowercase has another length in code points or in UTF-8 bytes.
+PIECES = [
+    *"abcxyz019 .,-#",
+    "é", "ß", "ñ", "Ω", "Ж", "ą",
+    "日", "本", "€", "ﬁ", "한",
+    "🙂", "😀", "🎉", "𝔘", "👩‍💻",
+    "\u00a0", "\u2003", "\u3000", "\t", "\n", "\r\n", "\x0b", "\x1c", "\x85",
+    "İ", "Ⱥ", "\u212a", "\u2126", "ẞ", "Σ",
+    "word", "Word ", " the ", "c#", "  ",
+]
+
+
+def _generated_texts(seed: int, count: int) -> list[str]:
+    rng = np.random.default_rng(seed)
+    texts = []
+    for _ in range(count):
+        # a quarter of the texts are shorter than most orders (0-3 pieces)
+        size = int(rng.integers(0, 4) if rng.random() < 0.25 else rng.integers(4, 60))
+        texts.append("".join(PIECES[i] for i in rng.integers(0, len(PIECES), size)))
+    return texts
+
+
+@pytest.mark.parametrize("config", [
+    FeaturizerConfig(),
+    FeaturizerConfig(dimension=256, word_ngram_range=(2, 3), char_ngram_range=(1, 6)),
+    FeaturizerConfig(dimension=2 ** 12, lowercase=False),
+    FeaturizerConfig(dimension=2 ** 32),
+    FeaturizerConfig(dimension=512, word_ngram_range=(3, 4), char_ngram_range=(6, 8)),
+], ids=["default", "word23-char16-d256", "keep-case", "d2**32", "high-orders"])
+def test_featurize_matrix_equals_reference_bytewise_on_generated_text(config):
+    texts = _generated_texts(seed=20231018, count=300)
+    got = featurize_matrix(config, texts)
+    want = reference_featurize_matrix(config, texts)
+    assert got.shape == want.shape
+    for part in ("indptr", "indices", "data"):
+        a, b = getattr(got, part), getattr(want, part)
+        assert a.dtype == b.dtype, part
+        assert a.tobytes() == b.tobytes(), part

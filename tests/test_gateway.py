@@ -333,6 +333,26 @@ def test_metrics_counters_are_monotone(gw_env):
     assert "gateway_in_flight 0" in text
 
 
+
+def test_every_answered_query_is_a_latency_sample(gw_env, tiny_model):
+    # A /route 200 and a /generate 502 are samples as much as a /generate 200.
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        dead = f"http://127.0.0.1:{sock.getsockname()[1]}/"
+    gw = gw_env.gateway(endpoints={m: dead for m in tiny_model.registry.ids})
+    for i in range(5):
+        assert _post(gw.url + "/route", {"query": f"tide moon shore {i}"})[0] == 200
+    for i in range(3):
+        assert _post(gw.url + "/generate", {"query": f"tide moon shore {i}"})[0] == 502
+    assert _post(gw.url + "/route", {"query": "  "})[0] == 400   # not a sample
+
+    status, text = _get(gw.url + "/metrics")
+    assert status == 200
+    lines = text.splitlines()
+    assert "gateway_latency_ms_count 8" in lines
+    assert sum(line.startswith("gateway_latency_ms{quantile=") for line in lines) == 2
+    assert gw.metrics.snapshot()["latency_ms_count"] == 8
+
 def test_reload_swaps_decisions_atomically(gw_env, ckpt, tiny_benchmark, tmp_path):
     from rewardroute import TrainConfig, aggregate_tag_rewards, init_router, train
     from rewardroute.features import FeaturizerConfig

@@ -110,6 +110,22 @@ CASES = [
          {"spec.json": _json({**SPEC, "clusters": {"arith": "sum carry", "chem": ["acid"]}})},
          lambda d: SyntheticSpec.from_file(d / "spec.json"), _synth,
          r"spec\.json: cluster 'arith' must be a list of strings"),
+    Case("spec expertise leaves out a cluster",
+         {"spec.json": _json({**SPEC, "expertise": {"arith": "m1"}})},
+         lambda d: SyntheticSpec.from_file(d / "spec.json"), _synth,
+         r"spec\.json is malformed: expertise map leaves out cluster\(s\) \['chem'\]"),
+    Case("spec expertise names an unknown model",
+         {"spec.json": _json({**SPEC, "expertise": {"arith": "m1", "chem": "m7"}})},
+         lambda d: SyntheticSpec.from_file(d / "spec.json"), _synth,
+         r"spec\.json is malformed: expertise map names unknown model\(s\) \['m7'\]"),
+    Case("spec words_per_query 'ab'",
+         {"spec.json": _json({**SPEC, "words_per_query": "ab"})},
+         lambda d: SyntheticSpec.from_file(d / "spec.json"), _synth,
+         r"spec\.json is malformed: words_per_query must be two integers"),
+    Case("oracle id twice",
+         {"oracle.jsonl": _json({"id": "q1", "scores": {"a": 1.0, "b": 0.0}}) + b"\n"
+                          + _json({"id": "q1", "scores": {"a": 5.0, "b": 0.0}}) + b"\n"},
+         _load_oracle, _eval, r"oracle line 2: duplicate query id 'q1'"),
 ]
 
 
