@@ -47,7 +47,7 @@ from .features import FeaturizerConfig
 from .gateway import Gateway, GatewayConfig
 from .ranking import SyntheticSpec, make_synthetic_benchmark
 from .rewards import aggregate_tag_rewards
-from .router import TrainConfig, init_router, route, train
+from .router import TrainConfig, TrainReport, init_router, route, train
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -126,10 +126,15 @@ def cmd_train(args: argparse.Namespace) -> int:
     save_checkpoint(trained, args.out)
     print(f"final loss {report.final_loss:.6f} on {report.row_count} rows; "
           f"checkpoint written to {args.out}")
-    print(f"train {report.wall_seconds:.3f}s: featurize {report.featurize_s:.3f}s, "
+    _print_phases("train", report)
+    return EXIT_OK
+
+
+def _print_phases(command: str, report: TrainReport) -> None:
+    """Where a training run's time went, on one stderr line (stdout stays the result)."""
+    print(f"{command} {report.wall_seconds:.3f}s: featurize {report.featurize_s:.3f}s, "
           f"targets {report.targets_s:.3f}s, optimize {report.optimize_s:.3f}s, "
           f"decay {report.decay_s:.3f}s", file=sys.stderr)
-    return EXIT_OK
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -151,6 +156,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     spec = SyntheticSpec.from_file(args.spec)
     result = beta_ablation(spec, args.betas, config)
     _emit_results(args, result)
+    _print_phases("ablate", result.phases)
     return EXIT_OK
 
 

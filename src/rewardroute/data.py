@@ -38,6 +38,11 @@ class Query:
             raise DataFormatError("query id must be a non-empty string")
         if not self.text.strip():
             raise DataFormatError(f"query {self.id!r}: text is empty after trimming")
+        try:
+            self.text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise DataFormatError(f"query {self.id!r}: text holds a lone surrogate "
+                                  f"at character {exc.start}, so it has no UTF-8 form") from None
         object.__setattr__(self, "tags", frozenset(self.tags))
 
 

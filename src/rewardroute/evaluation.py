@@ -17,7 +17,8 @@ reward-entropy vs. selection-correctness analysis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import time
+from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 import numpy as np
@@ -28,8 +29,8 @@ from .errors import DataFormatError
 from .features import featurize_matrix, stable_hash
 from .ranking import SyntheticSpec, make_synthetic_benchmark, oracle_select, rmr_choice
 from .rewards import aggregate_tag_rewards, normalize_rewards, reward_entropy
-from .router import (RouterModel, TrainConfig, _compact, _optimize, build_targets, forward,
-                     init_router)
+from .router import (RouterModel, TrainConfig, TrainReport, _compact, _optimize, build_targets,
+                     forward, init_router)
 
 
 @dataclass(frozen=True)
@@ -227,6 +228,9 @@ class AblationResult:
     accuracies: list[float]
     train_rows: int = 0
     eval_rows: int = 0
+    # The call's wall time and its training phases, summed over the betas;
+    # the loss fields stay empty.
+    phases: TrainReport = field(default_factory=TrainReport, compare=False, repr=False)
 
     def as_table(self) -> list[tuple[float, float]]:
         return list(zip(self.betas, self.accuracies))
@@ -254,24 +258,36 @@ def beta_ablation(
     Every run shares the same synthetic benchmark, split, featurizer, and
     seeds, so the table is a pure function of (spec, betas, train_config).
     """
+    start = time.perf_counter()
     base = train_config or TrainConfig()
     configs = [replace(base, beta=b) for b in betas]  # TrainConfig checks each beta
     dataset, oracle = make_synthetic_benchmark(spec)
     train_ds, eval_ds = holdout_split(dataset)
     table = aggregate_tag_rewards(train_ds)
     model = init_router(dataset.registry, seed=base.seed)
+    phases = TrainReport(row_count=len(train_ds))
+    mark = time.perf_counter()
     x_train = featurize_matrix(model.featurizer_config, _texts(train_ds))
     x_eval = featurize_matrix(model.featurizer_config, _texts(eval_ds))
+    featurized = time.perf_counter()
     # Only beta differs between runs, so they share one compaction and replay.
     compacted = _compact(model, x_train, base)
+    phases.featurize_s = featurized - mark
+    phases.decay_s = compacted.decay_s
+    phases.optimize_s = time.perf_counter() - featurized - compacted.decay_s
     accuracies = []
     for config in configs:
+        mark = time.perf_counter()
         targets = build_targets(train_ds, table, config.beta, config.temperature)
+        targeted = time.perf_counter()
         trained, _ = _optimize(model, compacted, targets, config)
+        phases.targets_s += targeted - mark
+        phases.optimize_s += time.perf_counter() - targeted
         accuracies.append(_accuracy(_routed_ids(trained, x_eval), eval_ds, oracle))
+    phases.wall_seconds = time.perf_counter() - start
     return AblationResult(
         betas=list(betas), accuracies=accuracies,
-        train_rows=len(train_ds), eval_rows=len(eval_ds),
+        train_rows=len(train_ds), eval_rows=len(eval_ds), phases=phases,
     )
 
 

@@ -366,9 +366,9 @@ class Gateway:
         started = time.perf_counter()
         try:
             text = payload.get("query") if payload is not None else None
-            if not isinstance(text, str) or not text.strip():
+            error = _query_error(payload, text)
+            if error is not None:
                 self.metrics.record_error("bad_request")
-                error = "body must be a JSON object" if payload is None else "missing or empty 'query'"
                 return 400, {"error": error}
             if path == "/route":
                 model_id, probs = self._decide(self.model, text)
@@ -459,6 +459,19 @@ class Gateway:
         with self._log_lock:
             with open(self.config.route_log_path, "a", encoding="utf-8") as fh:
                 fh.write(json.dumps(record) + "\n")
+
+
+def _query_error(payload: dict | None, text) -> str | None:
+    """Why a /route or /generate body cannot be routed, or None."""
+    if payload is None:
+        return "body must be a JSON object"
+    if not isinstance(text, str) or not text.strip():
+        return "missing or empty 'query'"
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate such as JSON's "\ud800"
+        return "'query' holds a lone surrogate, so it has no UTF-8 form"
+    return None
 
 
 class BackendError(Exception):

@@ -25,7 +25,7 @@ from scipy import sparse
 
 from .data import ModelRegistry, RewardDataset
 from .errors import DivergenceError
-from .features import FeaturizerConfig, featurize_matrix
+from .features import FeaturizerConfig, _hashed_chunks, featurize_matrix
 from .rewards import TagRewardTable, check_distribution, enhance_labels, normalize_rewards
 
 # Probabilities are clamped here before any log, in loss and gradient alike.
@@ -376,7 +376,11 @@ def _optimize(
 def route(model: RouterModel, text: str) -> tuple[str, np.ndarray]:
     """Pick the backend for a query: argmax of the routing distribution.
 
-    Ties resolve to the lowest registry index. Returns (model_id, probs).
+    Ties resolve to the lowest registry index. Returns (model_id, probs),
+    bitwise equal to forward() on the featurized text, but without building
+    a CSR matrix for one row.
     """
-    probs = forward(model, featurize_matrix(model.featurizer_config, [text]))[0]
+    _, indices, weights = next(_hashed_chunks(model.featurizer_config, [text]))  # one chunk
+    logits = model.weights[:, indices] @ weights + model.bias
+    probs = _softmax_rows(logits[None, :])[0]
     return model.registry.ids[int(np.argmax(probs))], probs

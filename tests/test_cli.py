@@ -476,6 +476,17 @@ def test_ablate_emits_one_row_per_beta(tiny_spec_file, tmp_path, capsys):
     assert [json.loads(line) for line in out.read_text().splitlines()] == records
 
 
+def test_ablate_prints_phase_times_on_one_stderr_line(tiny_spec_file, capsys):
+    code = main(["ablate", "--spec", tiny_spec_file, "--betas", "0,1", "--epochs", "3"])
+    captured = capsys.readouterr()
+    assert code == EXIT_OK
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ablate ")
+    for phase in ("featurize", "targets", "optimize", "decay"):
+        assert f" {phase} " in lines[0]
+        assert phase not in captured.out
+
+
 def test_ablate_table_format(tiny_spec_file, capsys):
     code = main(["ablate", "--spec", tiny_spec_file, "--betas", "0.3",
                  "--epochs", "3"])

@@ -1,4 +1,6 @@
 import hashlib
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,12 +8,16 @@ from scipy import sparse
 
 from rewardroute import (
     FeaturizerConfig,
+    ModelRegistry,
     SyntheticSpec,
     featurize,
     featurize_matrix,
+    forward,
+    init_router,
     load_dataset,
     load_registry,
     make_synthetic_benchmark,
+    route,
     stable_hash,
 )
 from rewardroute import features
@@ -324,3 +330,143 @@ def test_featurize_matrix_equals_reference_bytewise_on_generated_text(config):
         a, b = getattr(got, part), getattr(want, part)
         assert a.dtype == b.dtype, part
         assert a.tobytes() == b.tobytes(), part
+
+
+# Pieces that str.split() never breaks, so a run of them is one word.
+WORD_PIECES = [p for p in PIECES if p.split() == [p]]
+BLANKS = ["", "   ", "\n\t", "　 "]
+
+
+def _long_word_batch(seed: int) -> list[str]:
+    """Texts holding several-kB words, among short texts and blank rows."""
+    rng = np.random.default_rng(seed)
+    texts = []
+    for i, short in enumerate(_generated_texts(seed, 12)):
+        size = int(rng.integers(1000, 3000))  # pieces: 2-6 kB of UTF-8
+        word = "".join(WORD_PIECES[j] for j in rng.integers(0, len(WORD_PIECES), size))
+        texts += [short, f"x {word} y", BLANKS[i % len(BLANKS)], word]
+    return texts
+
+
+def _spy_on_chunks(monkeypatch) -> list[list[str]]:
+    """The texts of every chunk featurize_matrix hashes from now on ("" when blank)."""
+    chunks = []
+    real = features._hash_chunk
+
+    def spy(config, texts, utf8):
+        chunks.append(texts)
+        return real(config, texts, utf8)
+
+    monkeypatch.setattr(features, "_hash_chunk", spy)
+    return chunks
+
+
+def _assert_same_bytes(got, want):
+    assert got.shape == want.shape
+    for part in ("indptr", "indices", "data"):
+        a, b = getattr(got, part), getattr(want, part)
+        assert a.dtype == b.dtype, part
+        assert a.tobytes() == b.tobytes(), part
+
+
+BATCH_CONFIGS = [
+    FeaturizerConfig(),
+    FeaturizerConfig(dimension=1009, word_ngram_range=(2, 3), char_ngram_range=(1, 6)),
+    FeaturizerConfig(dimension=3 * 2 ** 20, lowercase=False),
+]
+BATCH_IDS = ["default", "d1009-word23-char16", "d3*2**20-keep-case"]
+
+
+@pytest.mark.parametrize("config", BATCH_CONFIGS, ids=BATCH_IDS)
+def test_several_kb_words_across_chunks_equal_reference_bytewise(config, monkeypatch):
+    texts = _long_word_batch(seed=7)
+    chunks = _spy_on_chunks(monkeypatch)
+    got = featurize_matrix(config, texts)
+    assert len(chunks) >= 2
+    _assert_same_bytes(got, reference_featurize_matrix(config, texts))
+
+
+@pytest.mark.parametrize("config", BATCH_CONFIGS, ids=BATCH_IDS)
+def test_blank_rows_between_texts_and_on_chunk_boundaries(config, monkeypatch):
+    rng = np.random.default_rng(5)
+    texts = []
+    for i, text in enumerate(_generated_texts(seed=11, count=200)):
+        texts += [text] + [BLANKS[j] for j in rng.integers(0, len(BLANKS), i % 3)]
+    texts += ["x" * 48] + BLANKS  # the last chunk holds blank rows only
+    monkeypatch.setattr(features, "_CHUNK_BYTES", 48)
+    chunks = _spy_on_chunks(monkeypatch)
+    got = featurize_matrix(config, texts)
+    assert any(chunk[0] == "" for chunk in chunks[1:])
+    assert chunks[-1] == [""] * len(BLANKS)
+    _assert_same_bytes(got, reference_featurize_matrix(config, texts))
+
+
+def test_chunks_cover_every_row_once():
+    assert list(features._chunks([])) == [(0, 0)]
+    assert list(features._chunks([0, 0, 0])) == [(0, 3)]
+    big = features._CHUNK_BYTES
+    assert list(features._chunks([big, 0, 1, big - 1, 5])) == [(0, 1), (1, 4), (4, 5)]
+
+
+def test_rows_do_not_depend_on_their_batch():
+    config = FeaturizerConfig()
+    texts = _generated_texts(seed=3, count=120) + _long_word_batch(seed=3)
+    batch = featurize_matrix(config, texts)
+    for i, text in enumerate(texts):
+        one = featurize_matrix(config, [text])
+        lo, hi = batch.indptr[i], batch.indptr[i + 1]
+        assert batch.indices[lo:hi].tobytes() == one.indices.tobytes(), i
+        assert batch.data[lo:hi].tobytes() == one.data.tobytes(), i
+
+
+def test_extend_finishes_a_few_long_runs_in_python_ints():
+    rng = np.random.default_rng(2)
+    # 20 short runs and, longest first once sorted, 11 long ones: passes
+    # step 11, then 10 and 9 of them, and the last 8 finish in the tail.
+    widths = np.concatenate([rng.integers(1, 6, 20),
+                             [3000, 2500, 2200, 1800, 1500, 900, 640, 300, 200, 120, 80]])
+    rng.shuffle(widths)
+    data = rng.integers(0, 256, int(widths.sum()), dtype=np.uint64)
+    first = np.concatenate(([0], np.cumsum(widths)[:-1]))
+    start = np.full(widths.size, FNV_OFFSET, dtype=np.uint64)
+    got = features._extend(start, data, first, widths)
+    want = [reference_fnv1a(bytes(data[f:f + w].tolist())) for f, w in zip(first, widths)]
+    assert got.tolist() == want
+
+
+def test_row_times_dimension_key_cannot_wrap():
+    config = FeaturizerConfig(dimension=2 ** 62)
+    texts = ["tide moon", "", "shore"]  # 3 * 2**62 keys fit in uint64
+    _assert_same_bytes(featurize_matrix(config, texts), reference_featurize_matrix(config, texts))
+    with pytest.raises(ValueError, match="overflow"):
+        featurize_matrix(config, texts + ["one row too many"])
+
+
+def test_featurizing_the_acceptance_texts_stays_in_bounded_memory():
+    from test_acceptance import SIX_CLUSTERS
+
+    dataset, _ = make_synthetic_benchmark(SyntheticSpec(
+        num_models=6, clusters=SIX_CLUSTERS, queries_per_cluster=400,
+        expertise_margin=0.5, noise_sigma=2.0, seed=4))
+    texts = [row.query.text for row in dataset.rows]
+    tracemalloc.start()
+    try:
+        featurize_matrix(FeaturizerConfig(), texts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The one-row-at-a-time featurizer peaked at 12 MiB here; hashing the
+    # whole batch at once (no chunks) took 31 MiB.
+    assert peak <= 12 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
+def test_route_equals_forward_on_the_batch_bitwise(name):
+    texts = _golden_texts(name)
+    model = init_router(ModelRegistry(("m0", "m1", "m2", "m3")), FeaturizerConfig(), seed=5)
+    model = replace(model, bias=np.array([0.25, -0.5, 0.0, 0.125]))
+    probs = forward(model, featurize_matrix(model.featurizer_config, texts))
+    for i, text in enumerate(texts):
+        model_id, one = route(model, text)
+        assert one.tobytes() == probs[i].tobytes(), i
+        assert model_id == model.registry.ids[int(np.argmax(probs[i]))]

@@ -140,6 +140,19 @@ def test_invalid_generate_bodies_get_400(gw_env, payload):
     assert sum(b.hits for b in gw_env.backends.values()) == 0
 
 
+@pytest.mark.parametrize("path", ["/route", "/generate"])
+def test_query_without_a_utf8_form_is_a_bad_request(gw_env, path):
+    gw = gw_env.gateway()
+    # JSON's "\ud800" decodes to a lone surrogate, which UTF-8 cannot encode.
+    status, body = _post(gw.url + path, b'{"query": "tide \\ud800 moon"}')
+    assert status == 400
+    assert "surrogate" in body["error"]
+    assert gw.metrics.snapshot()["errors"]["bad_request"] == 1
+    assert sum(b.hits for b in gw_env.backends.values()) == 0
+    status, _ = _post(gw.url + path, {"query": "tide moon"})
+    assert status == 200
+
+
 def test_unknown_path_is_404(gw_env):
     gw = gw_env.gateway()
     status, _ = _post(gw.url + "/nope", {"query": "x"})

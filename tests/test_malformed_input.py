@@ -52,6 +52,11 @@ def _ingest(d):
             "--out", str(d / "out.jsonl")]
 
 
+def _train(d):
+    return ["train", "--data", str(d / "data.jsonl"), "--registry", str(d / "registry.json"),
+            "--out", str(d / "router.ckpt")]
+
+
 def _eval(d):
     return ["eval", "--data", str(d / "data.jsonl"), "--registry", str(d / "registry.json"),
             "--oracle", str(d / "oracle.jsonl")]
@@ -86,6 +91,9 @@ CASES = [
          r"line 1: 'tags' must be a list of strings"),
     Case("dataset query null", _row(query=None), _load_dataset, _ingest,
          r"line 1: 'query' must be a string"),
+    # JSON's "\ud800" decodes to a lone surrogate, which UTF-8 cannot encode.
+    Case("dataset query lone surrogate", _row(query="tide \ud800 moon"), _load_dataset, _train,
+         r"line 1: query 'q1': text holds a lone surrogate"),
     Case("registry model_id null",
          {"registry.json": _json({"models": [{"model_id": None}, {"model_id": "b"}]}),
           **_row(rewards={"None": 0.5, "b": 0.25})},
