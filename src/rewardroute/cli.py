@@ -161,6 +161,11 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 
 
 def cmd_route(args: argparse.Namespace) -> int:
+    try:
+        args.query.encode("utf-8")
+    except UnicodeEncodeError as exc:  # argv bytes that are not UTF-8 decode to lone surrogates
+        raise DataFormatError(f"--query holds a lone surrogate at character {exc.start}, "
+                              f"so it has no UTF-8 form") from None
     model = load_checkpoint(args.checkpoint)
     model_id, probs = route(model, args.query)
     distribution = {m: float(p) for m, p in zip(model.registry.ids, probs)}

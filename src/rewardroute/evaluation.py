@@ -22,15 +22,14 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 import numpy as np
-from scipy import sparse
 
 from .data import ModelRegistry, Query, RewardDataset
 from .errors import DataFormatError
 from .features import featurize_matrix, stable_hash
 from .ranking import SyntheticSpec, make_synthetic_benchmark, oracle_select, rmr_choice
 from .rewards import aggregate_tag_rewards, normalize_rewards, reward_entropy
-from .router import (RouterModel, TrainConfig, TrainReport, _compact, _optimize, build_targets,
-                     forward, init_router)
+from .router import (RouterModel, TrainConfig, TrainReport, _compact, _gather_forward, _optimize,
+                     _to_columns, build_targets, forward, init_router)
 
 
 @dataclass(frozen=True)
@@ -130,9 +129,9 @@ def _texts(dataset: RewardDataset) -> list[str]:
     return [row.query.text for row in dataset.rows]
 
 
-def _routed_ids(model: RouterModel, x: sparse.csr_matrix) -> list[str]:
-    """The router's choice for every row of x; ties go to the lowest index."""
-    return [model.registry.ids[i] for i in np.argmax(forward(model, x), axis=1)]
+def _routed_ids(registry: ModelRegistry, probs: np.ndarray) -> list[str]:
+    """The choice for every row of routing distributions; ties go to the lowest index."""
+    return [registry.ids[i] for i in np.argmax(probs, axis=1)]
 
 
 def _accuracy(routed: list[str], dataset: RewardDataset,
@@ -153,7 +152,7 @@ def routing_accuracy(
 ) -> float:
     """Fraction of queries routed to the oracle-best model."""
     x = featurize_matrix(model.featurizer_config, _texts(dataset))
-    return _accuracy(_routed_ids(model, x), dataset, oracle)
+    return _accuracy(_routed_ids(model.registry, forward(model, x)), dataset, oracle)
 
 
 def evaluate_systems(
@@ -176,7 +175,7 @@ def evaluate_systems(
     if model is not None:
         x = featurize_matrix(model.featurizer_config, _texts(dataset))
         routed = {row.query.id: chosen
-                  for row, chosen in zip(dataset.rows, _routed_ids(model, x))}
+                  for row, chosen in zip(dataset.rows, _routed_ids(registry, forward(model, x)))}
     by_subset: dict[str, list] = {}
     for row in dataset.rows:
         by_subset.setdefault(row.query.subset or "default", []).append(row)
@@ -257,10 +256,16 @@ def beta_ablation(
 
     Every run shares the same synthetic benchmark, split, featurizer, and
     seeds, so the table is a pure function of (spec, betas, train_config).
+    The betas train in one lockstep descent, bit-identical to training each
+    alone, on the columns either split touches; they are scored through the
+    same per-row gather as forward(). The columns neither split touches are
+    never read, so they are replayed only when the L2 step can make a
+    weight grow and so end training early.
     """
     start = time.perf_counter()
     base = train_config or TrainConfig()
-    configs = [replace(base, beta=b) for b in betas]  # TrainConfig checks each beta
+    for b in betas:  # TrainConfig rejects a bad beta before any work is done
+        replace(base, beta=b)
     dataset, oracle = make_synthetic_benchmark(spec)
     train_ds, eval_ds = holdout_split(dataset)
     table = aggregate_tag_rewards(train_ds)
@@ -270,20 +275,25 @@ def beta_ablation(
     x_train = featurize_matrix(model.featurizer_config, _texts(train_ds))
     x_eval = featurize_matrix(model.featurizer_config, _texts(eval_ds))
     featurized = time.perf_counter()
-    # Only beta differs between runs, so they share one compaction and replay.
-    compacted = _compact(model, x_train, base)
-    phases.featurize_s = featurized - mark
-    phases.decay_s = compacted.decay_s
-    phases.optimize_s = time.perf_counter() - featurized - compacted.decay_s
+    targets = [build_targets(train_ds, table, b, base.temperature) for b in betas]
+    targeted = time.perf_counter()
+    compacted = _compact(model, x_train, base, read=x_eval.indices)
     accuracies = []
-    for config in configs:
-        mark = time.perf_counter()
-        targets = build_targets(train_ds, table, config.beta, config.temperature)
-        targeted = time.perf_counter()
-        trained, _ = _optimize(model, compacted, targets, config)
-        phases.targets_s += targeted - mark
-        phases.optimize_s += time.perf_counter() - targeted
-        accuracies.append(_accuracy(_routed_ids(trained, x_eval), eval_ds, oracle))
+    if betas:
+        block, bias, _ = _optimize(model, compacted, targets, base)
+    optimized = time.perf_counter()
+    x_eval = _to_columns(x_eval, compacted.columns)
+    k = model.num_models
+    for i in range(len(betas)):
+        # (K, |columns|) and C-ordered like model.weights, so each row's
+        # gather and product give forward()'s bits.
+        weights = block[:, i * k:(i + 1) * k].T.copy()
+        probs = _gather_forward(weights, bias[i * k:(i + 1) * k], x_eval)
+        accuracies.append(_accuracy(_routed_ids(dataset.registry, probs), eval_ds, oracle))
+    phases.featurize_s = featurized - mark
+    phases.targets_s = targeted - featurized
+    phases.decay_s = compacted.decay_s
+    phases.optimize_s = optimized - targeted - compacted.decay_s
     phases.wall_seconds = time.perf_counter() - start
     return AblationResult(
         betas=list(betas), accuracies=accuracies,

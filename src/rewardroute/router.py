@@ -8,11 +8,22 @@ prediction, plus an L2 penalty on the weights. Everything is seeded and
 single-threaded, so identical inputs give bit-identical trained models.
 
 Training works on the feature columns the training rows touch: a few
-thousand of the 65,536 hashed columns. The descent runs on that K x |u|
-block with the rows compacted to it. Every other column has an exactly
-zero data gradient, so all it ever takes is the L2 step w -= lr * (l2 * w)
-once per mini-batch; that step is replayed on its own, and the result is
-bit-identical to descending on the full K x D matrix.
+thousand of the 65,536 hashed columns. The descent runs on those columns
+with the rows compacted to them. Every other column has an exactly zero
+data gradient, so all it ever takes is the L2 step w -= lr * (l2 * w)
+once per mini-batch. train() replays that step on its own, and the result
+is bit-identical to descending on the full K x D matrix. A caller that
+reads only some columns after training (the beta ablation reads the eval
+split's) adds those to the descent instead, and skips the replay of the
+rest whenever the L2 step cannot make a weight grow.
+
+The descent trains several target matrices in lockstep, one per beta of
+an ablation, on the same permutations and mini-batches. Their transposed
+weights sit side by side in one |columns| x (B*K) block and the softmax
+is taken per group of K, so each mini-batch makes one set of sparse
+products for all of them. Those products compute every output column on
+its own and in the same order, so each target's weights, bias and losses
+are bit-identical to training it alone.
 """
 
 from __future__ import annotations
@@ -26,7 +37,7 @@ from scipy import sparse
 from .data import ModelRegistry, RewardDataset
 from .errors import DivergenceError
 from .features import FeaturizerConfig, _hashed_chunks, featurize_matrix
-from .rewards import TagRewardTable, check_distribution, enhance_labels, normalize_rewards
+from .rewards import TagRewardTable, check_distribution, tag_mean_for_query
 
 # Probabilities are clamped here before any log, in loss and gradient alike.
 PROB_CLAMP = 1e-12
@@ -153,11 +164,16 @@ def forward(model: RouterModel, x: sparse.csr_matrix) -> np.ndarray:
             f"feature dimension {x.shape[1]} does not match "
             f"model dimension {model.dimension}"
         )
-    logits = np.empty((x.shape[0], model.num_models), dtype=np.float64)
+    return _gather_forward(model.weights, model.bias, x)
+
+
+def _gather_forward(weights: np.ndarray, bias: np.ndarray, x: sparse.csr_matrix) -> np.ndarray:
+    """forward() on a C-ordered (K, x.shape[1]) weight matrix of any width."""
+    logits = np.empty((x.shape[0], weights.shape[0]), dtype=np.float64)
     for i in range(x.shape[0]):
         lo, hi = x.indptr[i], x.indptr[i + 1]
-        logits[i] = model.weights[:, x.indices[lo:hi]] @ x.data[lo:hi]
-    return _softmax_rows(logits + model.bias)
+        logits[i] = weights[:, x.indices[lo:hi]] @ x.data[lo:hi]
+    return _softmax_rows(logits + bias)
 
 
 def kl_loss(pred: np.ndarray, target: np.ndarray) -> float:
@@ -209,12 +225,28 @@ def build_targets(
     beta: float,
     temperature: float,
 ) -> np.ndarray:
-    """Distillation targets: softmax of tag-enhanced rewards, one row per query."""
-    targets = np.empty((len(dataset), len(dataset.registry)), dtype=np.float64)
-    for i, row in enumerate(dataset.rows):
-        enhanced = enhance_labels(row.rewards, row.query, table, beta)
-        targets[i] = normalize_rewards(enhanced, temperature)
-    return targets
+    """Distillation targets: softmax of tag-enhanced rewards, one row per query.
+
+    Row by row the same bits as enhance_labels followed by normalize_rewards,
+    with all rows blended and normalized at once and each distinct tag set's
+    mean computed once.
+    """
+    if not 0.0 <= beta <= 1.0:
+        raise ValueError(f"beta must lie in [0, 1], got {beta}")
+    if temperature <= 0:
+        raise ValueError(f"temperature must be positive, got {temperature}")
+    k = len(dataset.registry)
+    if len(dataset) == 0:
+        return np.empty((0, k), dtype=np.float64)
+    tag_means: dict[frozenset[str], np.ndarray] = {}
+    for row in dataset.rows:
+        if row.query.tags not in tag_means:
+            tag_means[row.query.tags] = tag_mean_for_query(row.query, table)
+    r_tag = np.stack([tag_means[row.query.tags] for row in dataset.rows])
+    enhanced = beta * dataset.reward_matrix() + (1.0 - beta) * r_tag
+    if not np.all(np.isfinite(enhanced)):
+        raise ValueError("reward vector has non-finite entries")
+    return _softmax_rows(enhanced / temperature)
 
 
 def train(
@@ -241,49 +273,85 @@ def train(
     targets = build_targets(dataset, table, config.beta, config.temperature)
     targeted = time.perf_counter()
     compacted = _compact(model, x, config)
-    trained, report = _optimize(model, compacted, targets, config)
+    block, bias, (losses,) = _optimize(model, compacted, [targets], config)
+    weights = np.empty_like(model.weights)
+    weights[:, compacted.columns] = block.T
+    weights[:, compacted.rest] = compacted.decayed
+    report = TrainReport(epoch_losses=losses, final_loss=losses[-1], row_count=len(dataset))
     report.featurize_s = featurized - start
     report.targets_s = targeted - featurized
     report.decay_s = compacted.decay_s
     report.optimize_s = time.perf_counter() - targeted - compacted.decay_s
     report.wall_seconds = time.perf_counter() - start
-    return trained, report
+    return replace(model, weights=weights, bias=bias), report
 
 
 @dataclass(frozen=True)
 class _Compacted:
-    """Training rows compacted to the columns they touch, plus the decayed rest.
+    """Training rows compacted to the columns the descent runs on, plus the rest.
 
-    decayed holds the untouched columns after every L2 step of a run, and
-    nonfinite_epoch the first epoch after which one of them is non-finite.
-    Neither depends on the targets, beta or seed, so runs that differ only
-    in those share one _Compacted.
+    columns are the ones the training rows touch, plus any the caller reads
+    after training; one that no training row touches takes the same L2-only
+    step in the descent as in the replay. When the caller reads every
+    column, as train() does, rest is replayed into decayed. When it reads
+    none of rest, the replay runs only if an L2 step can make a weight grow
+    (_l2_can_grow), and decayed is None otherwise. nonfinite_epoch is the
+    first epoch after which a replayed weight is non-finite, or None.
+    Nothing here depends on the targets, beta or seed.
     """
 
-    x: sparse.csr_matrix   # (n, |touched|)
-    touched: np.ndarray    # sorted column ids with a nonzero in x
-    untouched: np.ndarray  # the other column ids, sorted
-    decayed: np.ndarray    # (K, |untouched|)
+    x: sparse.csr_matrix          # (n, |columns|)
+    columns: np.ndarray           # sorted ids of the columns the descent runs on
+    rest: np.ndarray              # the other column ids, sorted
+    decayed: np.ndarray | None    # (K, |rest|), or None when the replay was skipped
     nonfinite_epoch: int | None
     decay_s: float
 
 
-def _compact(model: RouterModel, x: sparse.csr_matrix, config: TrainConfig) -> _Compacted:
-    """Split the weight columns by whether x touches them and replay the rest."""
+def _compact(model: RouterModel, x: sparse.csr_matrix, config: TrainConfig,
+             read: np.ndarray | None = None) -> _Compacted:
+    """Split the weight columns into those the descent runs on and the rest.
+
+    read holds the column ids the caller reads after training besides the
+    ones x touches; None means it reads every column.
+    """
     n = x.shape[0]
     if n == 0:
         raise ValueError("cannot train on an empty dataset")
-    touched = np.unique(x.indices)
-    untouched = np.setdiff1d(np.arange(model.dimension), touched, assume_unique=True)
-    x_touched = sparse.csr_matrix(
-        (x.data, np.searchsorted(touched, x.indices).astype(x.indices.dtype), x.indptr),
-        shape=(n, len(touched)),
-    )
+    columns = np.unique(x.indices) if read is None else np.union1d(x.indices, read)
+    rest = np.setdiff1d(np.arange(model.dimension), columns, assume_unique=True)
+    x_columns = _to_columns(x, columns)
     start = time.perf_counter()
-    steps_per_epoch = -(-n // config.batch_size)
-    decayed, nonfinite_epoch = _decay(model.weights[:, untouched], steps_per_epoch, config)
-    return _Compacted(x=x_touched, touched=touched, untouched=untouched, decayed=decayed,
+    decayed, nonfinite_epoch = None, None
+    if read is None or _l2_can_grow(config):
+        steps_per_epoch = -(-n // config.batch_size)
+        decayed, nonfinite_epoch = _decay(model.weights[:, rest], steps_per_epoch, config)
+    return _Compacted(x=x_columns, columns=columns, rest=rest, decayed=decayed,
                       nonfinite_epoch=nonfinite_epoch, decay_s=time.perf_counter() - start)
+
+
+def _to_columns(x: sparse.csr_matrix, columns: np.ndarray) -> sparse.csr_matrix:
+    """x with each column renumbered to its position in the sorted ids `columns`.
+
+    columns must hold every column that x touches.
+    """
+    return sparse.csr_matrix(
+        (x.data, np.searchsorted(columns, x.indices).astype(x.indices.dtype), x.indptr),
+        shape=(x.shape[0], len(columns)),
+    )
+
+
+def _l2_can_grow(config: TrainConfig) -> bool:
+    """Whether the L2-only step w -= lr * (l2 * w) can make a weight grow.
+
+    It cannot when l2 <= 1 and lr * l2 <= 0.5. Then fl(w * l2) is no larger
+    than |w|, so it cannot overflow, and the step fl(fl(w * l2) * lr) has
+    w's sign and at most half of |w| up to rounding. So w - step stays in
+    [0, w]: a finite weight stays finite, and skipping the replay of columns
+    nobody reads cannot hide a divergence.
+    """
+    lr, l2 = config.learning_rate, config.l2_penalty
+    return not (l2 <= 1 and lr * l2 <= 0.5)
 
 
 def _decay(block: np.ndarray, steps_per_epoch: int, config: TrainConfig,
@@ -320,57 +388,79 @@ def _decay(block: np.ndarray, steps_per_epoch: int, config: TrainConfig,
     return block, nonfinite_epoch
 
 
+def _softmax_groups(logits: np.ndarray, k: int) -> np.ndarray:
+    """_softmax_rows on each group of k columns of a C-ordered logits matrix."""
+    return _softmax_rows(logits.reshape(-1, k)).reshape(logits.shape)
+
+
 def _batch_grads(weights_t: np.ndarray, bias: np.ndarray, x: sparse.csr_matrix,
-                 targets: np.ndarray, l2_penalty: float) -> tuple[np.ndarray, np.ndarray]:
-    """kl_objective's gradients without its loss, on transposed (|touched| x K) weights."""
-    g = (_softmax_rows(x @ weights_t + bias) - targets) / x.shape[0]
+                 targets: np.ndarray, l2_penalty: float, k: int,
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """kl_objective's gradients without its loss, on a stacked (|columns| x B*K) block."""
+    g = (_softmax_groups(x @ weights_t + bias, k) - targets) / x.shape[0]
     return x.T @ g + l2_penalty * weights_t, g.sum(axis=0)
 
 
 def _optimize(
     model: RouterModel,
     compacted: _Compacted,
-    targets: np.ndarray,
+    targets: list[np.ndarray],
     config: TrainConfig,
-) -> tuple[RouterModel, TrainReport]:
-    """The gradient-descent loop of train() on compacted, featurized rows."""
-    x = compacted.x
-    n = x.shape[0]
-    rng = np.random.default_rng(config.seed)
-    # Transposed (|touched| x K) and C-ordered, so CSR products take it as is.
-    weights_t = model.weights[:, compacted.touched].T.copy()
-    bias = model.bias.copy()
+) -> tuple[np.ndarray, np.ndarray, list[list[float]]]:
+    """The gradient-descent loop of train(), on B target matrices in lockstep.
 
-    report = TrainReport(row_count=n)
-    last_finite: float | None = None
+    Returns the trained (|columns| x B*K) weight block, whose columns
+    b*K to (b+1)*K - 1 are target b's transposed weights, the (B*K,) bias
+    laid out the same way, and each target's epoch losses. When targets
+    diverge, raises the DivergenceError of the first in list order, as
+    training them one after another would. A diverged target's non-finite
+    columns never enter another target's columns.
+    """
+    x = compacted.x
+    n, k, count = x.shape[0], model.num_models, len(targets)
+    rng = np.random.default_rng(config.seed)
+    # C-ordered, so CSR products take it as is.
+    weights_t = np.concatenate([model.weights[:, compacted.columns].T] * count, axis=1)
+    bias = np.concatenate([model.bias] * count)
+    stacked = np.concatenate(targets, axis=1)
+
+    losses: list[list[float]] = [[] for _ in targets]
+    failures: list[DivergenceError | None] = [None] * count
     # Overflow is handled by the explicit finiteness check below, not warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
             order = rng.permutation(n)
             for lo in range(0, n, config.batch_size):
                 idx = order[lo:lo + config.batch_size]
-                grad_w, grad_b = _batch_grads(weights_t, bias, x[idx], targets[idx],
-                                              config.l2_penalty)
+                grad_w, grad_b = _batch_grads(weights_t, bias, x[idx], stacked[idx],
+                                              config.l2_penalty, k)
                 weights_t -= config.learning_rate * grad_w
                 bias -= config.learning_rate * grad_b
-            pred = _softmax_rows(x @ weights_t + bias)
-            epoch_loss = float(_kl_rows(pred, targets).mean())
-            weights_ok = np.all(np.isfinite(weights_t)) and epoch != compacted.nonfinite_epoch
-            if not (np.isfinite(epoch_loss) and weights_ok):
+            pred = _softmax_groups(x @ weights_t + bias, k)
+            # One contiguous row of per-query KL per target, so each mean sums
+            # in the same order as a lone target's.
+            kl = _kl_rows(pred.reshape(-1, k), stacked.reshape(-1, k)).reshape(n, count).T.copy()
+            weights_ok = np.isfinite(weights_t).reshape(-1, count, k).all(axis=(0, 2))
+            for b in range(count):
+                if failures[b] is not None:
+                    continue
+                epoch_loss = float(kl[b].mean())
+                if np.isfinite(epoch_loss) and weights_ok[b] and epoch != compacted.nonfinite_epoch:
+                    losses[b].append(epoch_loss)
+                    continue
                 what = "weight" if np.isfinite(epoch_loss) else "loss"
-                raise DivergenceError(
+                last_finite = losses[b][-1] if losses[b] else None
+                failures[b] = DivergenceError(
                     f"training diverged (non-finite {what}) at learning_rate="
                     f"{config.learning_rate}; last finite loss was {last_finite}",
                     last_finite_loss=last_finite,
                 )
-            last_finite = epoch_loss
-            report.epoch_losses.append(epoch_loss)
-
-    report.final_loss = report.epoch_losses[-1]
-    weights = np.empty_like(model.weights)
-    weights[:, compacted.touched] = weights_t.T
-    weights[:, compacted.untouched] = compacted.decayed
-    return replace(model, weights=weights, bias=bias), report
+            if failures[0] is not None:  # no target before it is left to diverge
+                break
+    for failure in failures:
+        if failure is not None:
+            raise failure
+    return weights_t, bias, losses
 
 
 def route(model: RouterModel, text: str) -> tuple[str, np.ndarray]:

@@ -521,6 +521,18 @@ def test_route_table_prints_choice(ckpt, capsys):
     assert "codegen" in printed
 
 
+def test_route_query_without_a_utf8_form_exits_data_error(ckpt, capsys):
+    # Python decodes an argv byte that is not UTF-8, such as the 0xff of
+    # --query "$(printf 'tide \xff moon')", to the lone surrogate U+DCFF.
+    code = main(["route", "--checkpoint", ckpt, "--query", "tide \udcff moon"])
+    captured = capsys.readouterr()
+    assert code == EXIT_DATA
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: --query holds a lone surrogate at character 5")
+
+
 # ---------------------------------------------------------------------------
 # serve (subprocess, signal handling)
 # ---------------------------------------------------------------------------

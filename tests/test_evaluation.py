@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from rewardroute import (
     DataFormatError,
+    DivergenceError,
     DatasetRow,
     ModelRegistry,
     Query,
@@ -26,6 +29,7 @@ from rewardroute.evaluation import (
     subset_ranks,
     uplift_rate,
 )
+from rewardroute.features import FeaturizerConfig
 from rewardroute.router import TrainConfig
 
 from conftest import TINY_SPEC, make_dataset
@@ -245,6 +249,65 @@ def test_beta_ablation_featurizes_each_split_once(monkeypatch):
         trained, _ = train(model, train_ds, table, TrainConfig(epochs=2, seed=2, beta=b))
         expected.append(routing_accuracy(trained, eval_ds, oracle))
     assert result.accuracies == expected
+
+
+def test_default_beta_ablation_replays_no_unread_column(monkeypatch):
+    import rewardroute.router as router
+
+    replayed = []
+
+    def spy(block, steps_per_epoch, config):
+        replayed.append(block.shape[1])
+        return decay(block, steps_per_epoch, config)
+
+    decay = router._decay
+    monkeypatch.setattr(router, "_decay", spy)
+    beta_ablation(TINY_SPEC, [0.0, 1.0], TrainConfig(epochs=2, seed=2))
+    assert replayed == []
+    # train() writes every column, so it replays the ones no row touches
+    dataset, _ = make_synthetic_benchmark(TINY_SPEC)
+    train(init_router(dataset.registry, seed=2), dataset, aggregate_tag_rewards(dataset),
+          TrainConfig(epochs=2, seed=2))
+    assert len(replayed) == 1 and replayed[0] > 60000
+
+
+def test_beta_ablation_stops_where_unread_columns_diverge(monkeypatch):
+    # lr * l2 = 3: each L2 step doubles a weight's size. The columns neither
+    # split touches start near 1e300 and overflow long before the others, so
+    # the run must stop at the epoch where they do, although nothing reads them.
+    import rewardroute.evaluation as evaluation
+
+    dataset, oracle = make_synthetic_benchmark(TINY_SPEC)
+    x = featurize_matrix(FeaturizerConfig(), [r.query.text for r in dataset.rows])
+    unread = np.setdiff1d(np.arange(FeaturizerConfig().dimension), x.indices)
+
+    def scaled_init(registry, featurizer_config=None, seed=0):
+        model = init_router(registry, featurizer_config, seed)
+        weights = model.weights.copy()
+        weights[:, unread] *= 1e302
+        return replace(model, weights=weights)
+
+    config = TrainConfig(learning_rate=0.1, l2_penalty=30, epochs=40, batch_size=16, seed=2)
+    betas = [0.0, 0.5, 1.0]
+    train_ds, _ = holdout_split(dataset)
+    table = aggregate_tag_rewards(train_ds)
+    with pytest.raises(DivergenceError) as expected:  # each beta alone, in order
+        for b in betas:
+            train(scaled_init(dataset.registry, seed=2), train_ds, table, replace(config, beta=b))
+    monkeypatch.setattr(evaluation, "init_router", scaled_init)
+    with pytest.raises(DivergenceError) as got:
+        beta_ablation(TINY_SPEC, betas, config)
+    assert got.value.last_finite_loss == expected.value.last_finite_loss
+    assert str(got.value) == str(expected.value)
+    assert "non-finite weight" in str(got.value)
+    # Four mini-batches an epoch: a weight near 1e300 has doubled 22 times when
+    # the 23rd step's l2 * w overflows, in the sixth epoch.
+    epochs_before = replace(config, beta=betas[0], epochs=5)
+    _, report = train(scaled_init(dataset.registry, seed=2), train_ds, table, epochs_before)
+    assert report.final_loss == got.value.last_finite_loss
+    with pytest.raises(DivergenceError):
+        beta_ablation(TINY_SPEC, betas, replace(config, epochs=6))
+    beta_ablation(TINY_SPEC, betas, epochs_before)
 
 
 def test_beta_ablation_rejects_out_of_range():

@@ -7,8 +7,10 @@ from scipy import sparse
 from scipy.special import softmax
 
 from rewardroute import (
+    DatasetRow,
     DivergenceError,
     ModelRegistry,
+    Query,
     TrainConfig,
     aggregate_tag_rewards,
     build_targets,
@@ -20,7 +22,9 @@ from rewardroute import (
     train,
 )
 from rewardroute.features import FeaturizerConfig
-from rewardroute.router import _DECAY_CHUNK, RouterModel, _decay, kl_loss, kl_objective
+from rewardroute.rewards import TagRewardTable, enhance_labels, normalize_rewards
+from rewardroute.router import (_DECAY_CHUNK, RouterModel, _compact, _decay, _l2_can_grow,
+                                _optimize, kl_loss, kl_objective)
 
 from conftest import make_dataset
 
@@ -156,6 +160,59 @@ def test_build_targets_is_softmax_of_enhanced_rewards():
     np.testing.assert_allclose(targets.sum(axis=1), 1.0, atol=1e-12)
 
 
+def _build_targets_by_row(dataset, table, beta, temperature):
+    """The per-row loop build_targets replaced, kept as its reference."""
+    return np.array([
+        normalize_rewards(enhance_labels(row.rewards, row.query, table, beta), temperature)
+        for row in dataset.rows
+    ])
+
+
+def _wide_dataset():
+    """Nine models, enough for numpy's pairwise sums; tag sets repeat, overlap or are empty."""
+    rng = np.random.default_rng(11)
+    tag_sets = [("x",), ("x", "y"), ("y", "x"), (), ("z",), ("y", "z", "x"), ("w",)]
+    return make_dataset(
+        [(f"q{i}", f"query number {i}", tag_sets[i % len(tag_sets)],
+          rng.normal(scale=10.0 ** (i % 4), size=9)) for i in range(40)],
+        model_ids=tuple(f"m{i}" for i in range(9)),
+    )
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("temperature", [1.0, 0.5, 3.0])
+def test_build_targets_matches_the_per_row_loop_bitwise(sample_dataset, tiny_benchmark,
+                                                        beta, temperature):
+    wide = _wide_dataset()
+    # A table aggregated over part of the rows leaves some of their tags unknown.
+    partial = wide.with_rows(r for r in wide.rows if "w" not in r.query.tags and
+                             "z" not in r.query.tags)
+    cases = [(sample_dataset, aggregate_tag_rewards(sample_dataset)),
+             (tiny_benchmark[0], aggregate_tag_rewards(tiny_benchmark[0])),
+             (wide, aggregate_tag_rewards(wide)), (wide, aggregate_tag_rewards(partial))]
+    for dataset, table in cases:
+        got = build_targets(dataset, table, beta, temperature)
+        expected = _build_targets_by_row(dataset, table, beta, temperature)
+        assert got.shape == expected.shape == (len(dataset), len(dataset.registry))
+        assert got.tobytes() == expected.tobytes()
+
+
+def test_build_targets_rejects_what_the_per_row_loop_rejects():
+    ds = _wide_dataset()
+    table = aggregate_tag_rewards(ds)
+    with pytest.raises(ValueError, match=r"beta must lie in \[0, 1\], got 1.5"):
+        build_targets(ds, table, 1.5, 1.0)
+    with pytest.raises(ValueError, match="temperature must be positive, got 0.0"):
+        build_targets(ds, table, 0.3, 0.0)
+    broken = TagRewardTable(means={**table.means, "y": np.full(9, np.inf)},
+                            counts=table.counts, global_mean=table.global_mean)
+    with pytest.raises(ValueError, match="non-finite"):
+        build_targets(ds, broken, 0.3, 1.0)
+    with pytest.raises(ValueError, match="non-finite"):
+        _build_targets_by_row(ds, broken, 0.3, 1.0)
+    assert build_targets(ds.with_rows([]), table, 0.3, 1.0).shape == (0, 9)
+
+
 def _overfit_dataset():
     return make_dataset([
         ("q1", "tide moon shore", ("sea",), [3.0, 0.0, 0.0]),
@@ -228,6 +285,120 @@ def test_decay_reports_the_first_nonfinite_epoch_of_any_chunk(where):
     assert _decay(block, 3, config)[1] == _stepwise_decay(block, 3, config)[1] == 343
     block[where] = 1e300
     assert _decay(block, 3, config)[1] == _stepwise_decay(block, 3, config)[1] == 7
+
+
+_EXTREME_WEIGHTS = np.array([[np.finfo(float).max, -np.finfo(float).max, 1e-310, -0.3, 5e-324]])
+
+
+@pytest.mark.parametrize("lr, l2", [(0.1, 1e-6), (0.5, 1.0), (1.0, 0.5), (1e300, 1e-301),
+                                    (1e-300, 1.0), (0.1, 0.0)])
+def test_l2_step_that_cannot_grow_keeps_every_weight_in_its_range(lr, l2):
+    config = TrainConfig(learning_rate=lr, l2_penalty=l2, epochs=3)
+    assert not _l2_can_grow(config)
+    decayed, nonfinite_epoch = _decay(_EXTREME_WEIGHTS, 4, config)
+    assert nonfinite_epoch is None
+    assert np.all(np.abs(decayed) <= np.abs(_EXTREME_WEIGHTS))
+    assert np.all(np.sign(decayed) * np.sign(_EXTREME_WEIGHTS) >= 0)
+
+
+@pytest.mark.parametrize("lr, l2, nonfinite_epoch", [
+    (0.01, 30.0, 0),   # lr * l2 is small, but l2 * w overflows for the largest weights
+    (0.1, 30.0, 0),    # lr * l2 = 3: every step doubles a weight
+    (1.0, 0.6, None),  # a step that shrinks every weight, but the rule cannot tell
+])
+def test_l2_step_that_can_grow(lr, l2, nonfinite_epoch):
+    config = TrainConfig(learning_rate=lr, l2_penalty=l2, epochs=3)
+    assert _l2_can_grow(config)
+    assert _decay(_EXTREME_WEIGHTS, 4, config)[1] == nonfinite_epoch
+
+
+def _featureless_rows(registry, count):
+    """Rows too short for any n-gram of _SPARSE_FEATURIZER: all-zero feature rows."""
+    rng = np.random.default_rng(8)
+    texts = ["ox", "an ox", "go", "be it", "so"]
+    return [DatasetRow(query=Query(id=f"empty-{i}", text=texts[i % len(texts)],
+                                   tags=frozenset({"tides"} if i % 2 else ())),
+                       rewards=rng.uniform(0, 1, size=len(registry)))
+            for i in range(count)]
+
+
+_SPARSE_FEATURIZER = FeaturizerConfig(dimension=512, word_ngram_range=(3, 3),
+                                      char_ngram_range=(6, 6))
+
+
+def _lockstep_case(tiny_benchmark, rows):
+    dataset, _ = tiny_benchmark
+    if rows == "mixed":  # the benchmark's rows with featureless rows among them
+        extra = _featureless_rows(dataset.registry, 9)
+        dataset = dataset.with_rows(list(dataset.rows[:30]) + extra + list(dataset.rows[30:]))
+    elif rows == "featureless":
+        dataset = dataset.with_rows(_featureless_rows(dataset.registry, 7))
+    x = featurize_matrix(_SPARSE_FEATURIZER, [r.query.text for r in dataset.rows])
+    assert (np.diff(x.indptr) == 0).any()
+    return dataset, x
+
+
+@pytest.mark.parametrize("count", [1, 2, 5])
+@pytest.mark.parametrize("rows", ["mixed", "featureless"])
+@pytest.mark.parametrize("config", [
+    TrainConfig(epochs=6, batch_size=5, seed=2),
+    TrainConfig(learning_rate=0.7, epochs=4, batch_size=64, l2_penalty=0.05, seed=7),
+    TrainConfig(learning_rate=0.3, epochs=3, batch_size=1, temperature=0.5,
+                l2_penalty=0.0, seed=1),
+])
+def test_lockstep_descent_matches_each_target_alone_bitwise(tiny_benchmark, count, rows,
+                                                             config):
+    dataset, x = _lockstep_case(tiny_benchmark, rows)
+    table = aggregate_tag_rewards(dataset)
+    model = init_router(dataset.registry, _SPARSE_FEATURIZER, seed=config.seed)
+    compacted = _compact(model, x, config)
+    targets = [build_targets(dataset, table, beta, config.temperature)
+               for beta in [0.0, 0.3, 1.0, 0.5, 0.9][:count]]
+    block, bias, losses = _optimize(model, compacted, targets, config)
+    k = model.num_models
+    assert block.shape == (len(compacted.columns), count * k)
+    assert block.flags.c_contiguous
+    for b, target in enumerate(targets):
+        alone_block, alone_bias, (alone_losses,) = _optimize(model, compacted, [target], config)
+        assert block[:, b * k:(b + 1) * k].tobytes() == alone_block.tobytes()
+        assert bias[b * k:(b + 1) * k].tobytes() == alone_bias.tobytes()
+        assert losses[b] == alone_losses
+        assert len(losses[b]) == config.epochs
+
+
+def _first_divergence(model, compacted, targets, config):
+    """Train each target alone, in list order, and return the first DivergenceError."""
+    for target in targets:
+        try:
+            _optimize(model, compacted, [target], config)
+        except DivergenceError as exc:
+            return exc
+    return None
+
+
+# Targets scaled by 3e301 overflow the logits after 4 finite epochs, by 1e302
+# after 1, and unscaled ones never do.
+@pytest.mark.parametrize("scales", [
+    [3e301, 1e302, 1.0],   # the first to diverge in time is not the first in the list
+    [1.0, 1e302, 3e301],   # the first target never diverges
+    [1.0, 1.0, 3e301],     # only the last one diverges
+    [1e302, 3e301, 1.0],
+])
+def test_lockstep_divergence_raises_what_training_in_order_raises(tiny_benchmark, scales):
+    dataset, _ = tiny_benchmark
+    table = aggregate_tag_rewards(dataset)
+    model = init_router(dataset.registry, FeaturizerConfig(dimension=2048), seed=1)
+    x = featurize_matrix(model.featurizer_config, [r.query.text for r in dataset.rows])
+    config = TrainConfig(learning_rate=1e6, epochs=12, batch_size=16, seed=1)
+    compacted = _compact(model, x, config)
+    targets = [build_targets(dataset, table, beta, 1.0) * scale
+               for beta, scale in zip([0.0, 0.5, 1.0], scales)]
+    expected = _first_divergence(model, compacted, targets, config)
+    assert expected is not None and expected.last_finite_loss is not None
+    with pytest.raises(DivergenceError) as got:
+        _optimize(model, compacted, targets, config)
+    assert got.value.last_finite_loss == expected.last_finite_loss
+    assert str(got.value) == str(expected)
 
 
 def test_training_is_deterministic():
