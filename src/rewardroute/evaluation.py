@@ -28,8 +28,8 @@ from .errors import DataFormatError
 from .features import featurize_matrix, stable_hash
 from .ranking import SyntheticSpec, make_synthetic_benchmark, oracle_select, rmr_choice
 from .rewards import aggregate_tag_rewards, normalize_rewards, reward_entropy
-from .router import (RouterModel, TrainConfig, TrainReport, _compact, _gather_forward, _optimize,
-                     _to_columns, build_targets, forward, init_router)
+from .router import (RouterModel, TrainConfig, TrainReport, _fit, _gather_forward, build_targets,
+                     forward, init_router)
 
 
 @dataclass(frozen=True)
@@ -257,10 +257,8 @@ def beta_ablation(
     Every run shares the same synthetic benchmark, split, featurizer, and
     seeds, so the table is a pure function of (spec, betas, train_config).
     The betas train in one lockstep descent, bit-identical to training each
-    alone, on the columns either split touches; they are scored through the
-    same per-row gather as forward(). The columns neither split touches are
-    never read, so they are replayed only when the L2 step can make a
-    weight grow and so end training early.
+    alone, and only the weight columns the eval split reads are kept; they
+    are scored through the same per-row gather as forward().
     """
     start = time.perf_counter()
     base = train_config or TrainConfig()
@@ -276,24 +274,14 @@ def beta_ablation(
     x_eval = featurize_matrix(model.featurizer_config, _texts(eval_ds))
     featurized = time.perf_counter()
     targets = [build_targets(train_ds, table, b, base.temperature) for b in betas]
-    targeted = time.perf_counter()
-    compacted = _compact(model, x_train, base, read=x_eval.indices)
-    accuracies = []
-    if betas:
-        block, bias, _ = _optimize(model, compacted, targets, base)
-    optimized = time.perf_counter()
-    x_eval = _to_columns(x_eval, compacted.columns)
-    k = model.num_models
-    for i in range(len(betas)):
-        # (K, |columns|) and C-ordered like model.weights, so each row's
-        # gather and product give forward()'s bits.
-        weights = block[:, i * k:(i + 1) * k].T.copy()
-        probs = _gather_forward(weights, bias[i * k:(i + 1) * k], x_eval)
-        accuracies.append(_accuracy(_routed_ids(dataset.registry, probs), eval_ds, oracle))
     phases.featurize_s = featurized - mark
-    phases.targets_s = targeted - featurized
-    phases.decay_s = compacted.decay_s
-    phases.optimize_s = optimized - targeted - compacted.decay_s
+    phases.targets_s = time.perf_counter() - featurized
+    columns, fitted = _fit(model, x_train, targets, base, phases, read=x_eval.indices)
+    eval_indices = np.searchsorted(columns, x_eval.indices)  # positions in the fitted weights
+    accuracies = []
+    for weights, bias, _ in fitted:
+        probs = _gather_forward(weights, bias, x_eval.indptr, eval_indices, x_eval.data)
+        accuracies.append(_accuracy(_routed_ids(dataset.registry, probs), eval_ds, oracle))
     phases.wall_seconds = time.perf_counter() - start
     return AblationResult(
         betas=list(betas), accuracies=accuracies,

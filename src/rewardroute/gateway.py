@@ -198,30 +198,29 @@ class _GatewayServer(_HTTPServer):
         super().__init__(addr, handler)
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """Reads a request, asks the gateway for its reply and writes that once."""
+# A larger declared POST body gets 413 unread, so no client can make a
+# handler thread buffer and parse an unbounded body.
+MAX_BODY_BYTES = 1 << 20
+
+
+class _BodyTooLarge(Exception):
+    pass
+
+
+class _JSONHandler(BaseHTTPRequestHandler):
+    """Reads a JSON request body and writes one reply: the gateway's and the stub backend's."""
 
     protocol_version = "HTTP/1.0"
 
-    # BaseHTTPRequestHandler logging goes to the module logger to keep test
-    # output quiet.
-    def log_message(self, fmt, *args):
-        logger.debug("gateway: " + fmt, *args)
-
-    def setup(self):
-        # Every read and write on the client socket is bounded by timeout_ms,
-        # so a client that stalls mid-request is dropped (handle_one_request
-        # closes on TimeoutError) instead of holding this thread, and
-        # shutdown(), which joins it, forever.
-        self.timeout = self.server.gateway.config.timeout_ms / 1000.0
-        super().setup()
-
     def _read_json(self) -> dict | None:
+        """The body as a JSON object, or None; _BodyTooLarge when it declares too many bytes."""
         try:
             length = int(self.headers.get("Content-Length", "0"))
             if length < 0:
                 # rfile.read(-1) would wait for EOF
                 return None
+            if length > MAX_BODY_BYTES:
+                raise _BodyTooLarge(f"body of {length} bytes is over {MAX_BODY_BYTES}")
             raw = self.rfile.read(length) if length else b""
             payload = json.loads(raw.decode("utf-8")) if raw else {}
         except (ValueError, UnicodeDecodeError):
@@ -239,14 +238,37 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(data)
 
+
+class _Handler(_JSONHandler):
+    """Reads a request, asks the gateway for its reply and writes that once."""
+
+    # BaseHTTPRequestHandler logging goes to the module logger to keep test
+    # output quiet.
+    def log_message(self, fmt, *args):
+        logger.debug("gateway: " + fmt, *args)
+
+    def setup(self):
+        # Every read and write on the client socket is bounded by timeout_ms,
+        # so a client that stalls mid-request is dropped (handle_one_request
+        # closes on TimeoutError) instead of holding this thread, and
+        # shutdown(), which joins it, forever.
+        self.timeout = self.server.gateway.config.timeout_ms / 1000.0
+        super().setup()
+
     def do_GET(self):
         self._write(*self.server.gateway.handle_get(self.path))
 
     def do_POST(self):
         # The body is read before admission: a client that trickles its body
         # holds this handler thread, never an admission slot.
-        payload = self._read_json()
-        self._write(*self.server.gateway.handle_post(self.path, payload))
+        gateway = self.server.gateway
+        try:
+            payload = self._read_json()
+        except _BodyTooLarge as exc:
+            gateway.metrics.record_error("bad_request")
+            self._write(413, {"error": str(exc)})
+            return
+        self._write(*gateway.handle_post(self.path, payload))
 
 
 class Gateway:
@@ -257,6 +279,12 @@ class Gateway:
         self._model = self._load_and_check(config.checkpoint_path)
         self.metrics = Metrics()
         self._log_lock = threading.Lock()
+        try:
+            # Line-buffered, so each record is written out before its reply.
+            self._log = (None if config.route_log_path is None else
+                         open(config.route_log_path, "a", encoding="utf-8", buffering=1))
+        except OSError as exc:
+            raise GatewayError(f"cannot open route log {config.route_log_path}: {exc}") from exc
         self._server: _GatewayServer | None = None
         self._thread: threading.Thread | None = None
 
@@ -315,15 +343,16 @@ class Gateway:
         return f"http://{self.config.host}:{self.port}"
 
     def shutdown(self) -> None:
-        """Stop accepting connections, then wait for in-flight handlers."""
-        if self._server is None:
-            return
-        self._server.shutdown()
-        self._server.server_close()   # joins handler threads (block_on_close)
-        if self._thread is not None:
-            self._thread.join()
-        self._server = None
-        self._thread = None
+        """Stop accepting connections, wait for in-flight handlers, close the route log: final."""
+        if self._server is not None:
+            self._server.shutdown()
+            self._server.server_close()   # joins handler threads (block_on_close)
+            if self._thread is not None:
+                self._thread.join()
+            self._server = None
+            self._thread = None
+        if self._log is not None:
+            self._log.close()
 
     def serve_forever(self) -> None:
         """Blocking serve; returns after shutdown() from another thread/signal."""
@@ -444,7 +473,7 @@ class Gateway:
 
     def _append_route_record(self, request_id, text, model_id, served_by,
                              probs, latency_ms, status, failover) -> None:
-        if self.config.route_log_path is None:
+        if self._log is None:
             return
         record = {
             "request_id": request_id,
@@ -457,8 +486,7 @@ class Gateway:
             "failover": failover,
         }
         with self._log_lock:
-            with open(self.config.route_log_path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(record) + "\n")
+            self._log.write(json.dumps(record) + "\n")
 
 
 def _query_error(payload: dict | None, text) -> str | None:

@@ -7,11 +7,14 @@ target distribution (softmax of tag-enhanced rewards) and the router's
 prediction, plus an L2 penalty on the weights. Everything is seeded and
 single-threaded, so identical inputs give bit-identical trained models.
 
+train() and the beta ablation both train through _fit, and forward(),
+route() and the ablation's scoring all gather through _gather_forward.
+
 Training works on the feature columns the training rows touch: a few
 thousand of the 65,536 hashed columns. The descent runs on those columns
 with the rows compacted to them. Every other column has an exactly zero
 data gradient, so all it ever takes is the L2 step w -= lr * (l2 * w)
-once per mini-batch. train() replays that step on its own, and the result
+once per mini-batch. _fit replays that step on its own, and the result
 is bit-identical to descending on the full K x D matrix. A caller that
 reads only some columns after training (the beta ablation reads the eval
 split's) adds those to the descent instead, and skips the replay of the
@@ -37,7 +40,7 @@ from scipy import sparse
 from .data import ModelRegistry, RewardDataset
 from .errors import DivergenceError
 from .features import FeaturizerConfig, _hashed_chunks, featurize_matrix
-from .rewards import TagRewardTable, check_distribution, tag_mean_for_query
+from .rewards import TagRewardTable, tag_mean_for_query
 
 # Probabilities are clamped here before any log, in loss and gradient alike.
 PROB_CLAMP = 1e-12
@@ -164,33 +167,24 @@ def forward(model: RouterModel, x: sparse.csr_matrix) -> np.ndarray:
             f"feature dimension {x.shape[1]} does not match "
             f"model dimension {model.dimension}"
         )
-    return _gather_forward(model.weights, model.bias, x)
+    return _gather_forward(model.weights, model.bias, x.indptr, x.indices, x.data)
 
 
-def _gather_forward(weights: np.ndarray, bias: np.ndarray, x: sparse.csr_matrix) -> np.ndarray:
-    """forward() on a C-ordered (K, x.shape[1]) weight matrix of any width."""
-    logits = np.empty((x.shape[0], weights.shape[0]), dtype=np.float64)
-    for i in range(x.shape[0]):
-        lo, hi = x.indptr[i], x.indptr[i + 1]
-        logits[i] = weights[:, x.indices[lo:hi]] @ x.data[lo:hi]
+def _gather_forward(weights: np.ndarray, bias: np.ndarray, indptr, indices: np.ndarray,
+                    data: np.ndarray) -> np.ndarray:
+    """forward() on a batch's CSR arrays and a C-ordered (K, width) weight matrix."""
+    logits = np.empty((len(indptr) - 1, weights.shape[0]), dtype=np.float64)
+    for i in range(len(logits)):
+        lo, hi = indptr[i], indptr[i + 1]
+        logits[i] = weights[:, indices[lo:hi]] @ data[lo:hi]
     return _softmax_rows(logits + bias)
 
 
-def kl_loss(pred: np.ndarray, target: np.ndarray) -> float:
-    """KL(target || pred) in nats for one pair of distributions.
-
-    Zero target entries contribute nothing; entries are clamped at
-    PROB_CLAMP before the log, as in training.
-    """
-    p = check_distribution(pred)
-    t = check_distribution(target)
-    if p.shape != t.shape:
-        raise ValueError(f"length mismatch: pred {p.shape} vs target {t.shape}")
-    return float(_kl_rows(p[None, :], t[None, :])[0])
-
-
 def _kl_rows(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Per-row KL(target || pred) over a batch; pred rows are softmax outputs (> 0)."""
+    """Per-row KL(target || pred) in nats over a batch; pred rows are softmax outputs (> 0).
+
+    Zero target entries contribute nothing; entries are clamped at PROB_CLAMP before the log.
+    """
     logp = np.log(np.maximum(pred, PROB_CLAMP))
     contrib = np.where(target > 0, target * (np.log(np.maximum(target, PROB_CLAMP)) - logp), 0.0)
     return contrib.sum(axis=1)
@@ -207,16 +201,13 @@ def kl_objective(
 
     Forward direction KL(t || p): dL/dlogits = (p - t) / B.
     The penalty 0.5 * l2 * ||W||^2 applies to weights only, not the bias.
+    The prediction and gradients come from the trainer's _batch_grads, so
+    a check of these gradients checks the ones train() descends on.
     """
-    n = x.shape[0]
-    logits = x @ weights.T + bias
-    pred = _softmax_rows(logits)
-    rows = _kl_rows(pred, targets)
-    loss = float(rows.mean()) + 0.5 * l2_penalty * float((weights ** 2).sum())
-    g = (pred - targets) / n
-    grad_w = (x.T @ g).T + l2_penalty * weights
-    grad_b = g.sum(axis=0)
-    return loss, grad_w, grad_b
+    pred, grad_w_t, grad_b = _batch_grads(weights.T, bias, x, targets, l2_penalty,
+                                          weights.shape[0])
+    loss = float(_kl_rows(pred, targets).mean()) + 0.5 * l2_penalty * float((weights ** 2).sum())
+    return loss, grad_w_t.T, grad_b
 
 
 def build_targets(
@@ -266,79 +257,71 @@ def train(
     if dataset.registry.ids != model.registry.ids:
         raise ValueError("dataset registry does not match the model registry")
 
+    report = TrainReport(row_count=len(dataset))
     start = time.perf_counter()
     texts = [row.query.text for row in dataset.rows]
     x = featurize_matrix(model.featurizer_config, texts)
     featurized = time.perf_counter()
     targets = build_targets(dataset, table, config.beta, config.temperature)
-    targeted = time.perf_counter()
-    compacted = _compact(model, x, config)
-    block, bias, (losses,) = _optimize(model, compacted, [targets], config)
-    weights = np.empty_like(model.weights)
-    weights[:, compacted.columns] = block.T
-    weights[:, compacted.rest] = compacted.decayed
-    report = TrainReport(epoch_losses=losses, final_loss=losses[-1], row_count=len(dataset))
     report.featurize_s = featurized - start
-    report.targets_s = targeted - featurized
-    report.decay_s = compacted.decay_s
-    report.optimize_s = time.perf_counter() - targeted - compacted.decay_s
+    report.targets_s = time.perf_counter() - featurized
+    _, [(weights, bias, losses)] = _fit(model, x, [targets], config, report)
+    report.epoch_losses, report.final_loss = losses, losses[-1]
     report.wall_seconds = time.perf_counter() - start
     return replace(model, weights=weights, bias=bias), report
 
 
-@dataclass(frozen=True)
-class _Compacted:
-    """Training rows compacted to the columns the descent runs on, plus the rest.
-
-    columns are the ones the training rows touch, plus any the caller reads
-    after training; one that no training row touches takes the same L2-only
-    step in the descent as in the replay. When the caller reads every
-    column, as train() does, rest is replayed into decayed. When it reads
-    none of rest, the replay runs only if an L2 step can make a weight grow
-    (_l2_can_grow), and decayed is None otherwise. nonfinite_epoch is the
-    first epoch after which a replayed weight is non-finite, or None.
-    Nothing here depends on the targets, beta or seed.
-    """
-
-    x: sparse.csr_matrix          # (n, |columns|)
-    columns: np.ndarray           # sorted ids of the columns the descent runs on
-    rest: np.ndarray              # the other column ids, sorted
-    decayed: np.ndarray | None    # (K, |rest|), or None when the replay was skipped
-    nonfinite_epoch: int | None
-    decay_s: float
-
-
-def _compact(model: RouterModel, x: sparse.csr_matrix, config: TrainConfig,
-             read: np.ndarray | None = None) -> _Compacted:
-    """Split the weight columns into those the descent runs on and the rest.
+def _fit(
+    model: RouterModel,
+    x: sparse.csr_matrix,
+    targets: list[np.ndarray],
+    config: TrainConfig,
+    phases: TrainReport,
+    read: np.ndarray | None = None,
+) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray, list[float]]]]:
+    """Train one router from model per target matrix on the rows x, in one lockstep descent.
 
     read holds the column ids the caller reads after training besides the
-    ones x touches; None means it reads every column.
+    ones x touches; None means every column. The descent runs on x's
+    columns and read's. The others are replayed (_decay) only when the
+    caller reads them or an L2 step can make a weight grow (_l2_can_grow),
+    since that can end training. Returns the sorted ids of the columns the caller reads and, per target,
+    the C-ordered (K, |columns|) weights over them, the (K,) bias and the
+    epoch losses. Adds the descent's and the replay's times to phases.
     """
+    start = time.perf_counter()
     n = x.shape[0]
     if n == 0:
         raise ValueError("cannot train on an empty dataset")
     columns = np.unique(x.indices) if read is None else np.union1d(x.indices, read)
+    read_columns = np.arange(model.dimension) if read is None else columns
+    if not targets:
+        return read_columns, []
     rest = np.setdiff1d(np.arange(model.dimension), columns, assume_unique=True)
-    x_columns = _to_columns(x, columns)
-    start = time.perf_counter()
+    decay_start = time.perf_counter()
     decayed, nonfinite_epoch = None, None
     if read is None or _l2_can_grow(config):
         steps_per_epoch = -(-n // config.batch_size)
         decayed, nonfinite_epoch = _decay(model.weights[:, rest], steps_per_epoch, config)
-    return _Compacted(x=x_columns, columns=columns, rest=rest, decayed=decayed,
-                      nonfinite_epoch=nonfinite_epoch, decay_s=time.perf_counter() - start)
-
-
-def _to_columns(x: sparse.csr_matrix, columns: np.ndarray) -> sparse.csr_matrix:
-    """x with each column renumbered to its position in the sorted ids `columns`.
-
-    columns must hold every column that x touches.
-    """
-    return sparse.csr_matrix(
+    decay_s = time.perf_counter() - decay_start
+    x_columns = sparse.csr_matrix(
         (x.data, np.searchsorted(columns, x.indices).astype(x.indices.dtype), x.indptr),
-        shape=(x.shape[0], len(columns)),
+        shape=(n, len(columns)),
     )
+    block, bias, losses = _optimize(model.weights[:, columns], model.bias, x_columns, targets,
+                                    config, nonfinite_epoch)
+    k = model.num_models
+    fitted = []
+    for b, target_losses in enumerate(losses):
+        weights = block[:, b * k:(b + 1) * k].T
+        if read is None:
+            full = np.empty_like(model.weights)
+            full[:, columns], full[:, rest] = weights, decayed
+            weights = full
+        fitted.append((np.ascontiguousarray(weights), bias[b * k:(b + 1) * k], target_losses))
+    phases.decay_s += decay_s
+    phases.optimize_s += time.perf_counter() - start - decay_s
+    return read_columns, fitted
 
 
 def _l2_can_grow(config: TrainConfig) -> bool:
@@ -395,33 +378,37 @@ def _softmax_groups(logits: np.ndarray, k: int) -> np.ndarray:
 
 def _batch_grads(weights_t: np.ndarray, bias: np.ndarray, x: sparse.csr_matrix,
                  targets: np.ndarray, l2_penalty: float, k: int,
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """kl_objective's gradients without its loss, on a stacked (|columns| x B*K) block."""
-    g = (_softmax_groups(x @ weights_t + bias, k) - targets) / x.shape[0]
-    return x.T @ g + l2_penalty * weights_t, g.sum(axis=0)
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Prediction and kl_objective's gradients on a stacked (|columns| x B*K) block."""
+    pred = _softmax_groups(x @ weights_t + bias, k)
+    g = (pred - targets) / x.shape[0]
+    return pred, x.T @ g + l2_penalty * weights_t, g.sum(axis=0)
 
 
 def _optimize(
-    model: RouterModel,
-    compacted: _Compacted,
+    weights: np.ndarray,
+    bias: np.ndarray,
+    x: sparse.csr_matrix,
     targets: list[np.ndarray],
     config: TrainConfig,
+    nonfinite_epoch: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, list[list[float]]]:
     """The gradient-descent loop of train(), on B target matrices in lockstep.
 
+    Every target starts from the (K, |columns|) weights and (K,) bias.
     Returns the trained (|columns| x B*K) weight block, whose columns
     b*K to (b+1)*K - 1 are target b's transposed weights, the (B*K,) bias
     laid out the same way, and each target's epoch losses. When targets
     diverge, raises the DivergenceError of the first in list order, as
-    training them one after another would. A diverged target's non-finite
-    columns never enter another target's columns.
+    training them one after another would; an epoch past nonfinite_epoch,
+    when a replayed weight went non-finite, counts as diverged. A diverged
+    target's non-finite columns never enter another target's columns.
     """
-    x = compacted.x
-    n, k, count = x.shape[0], model.num_models, len(targets)
+    (k, _), n, count = weights.shape, x.shape[0], len(targets)
     rng = np.random.default_rng(config.seed)
     # C-ordered, so CSR products take it as is.
-    weights_t = np.concatenate([model.weights[:, compacted.columns].T] * count, axis=1)
-    bias = np.concatenate([model.bias] * count)
+    weights_t = np.concatenate([weights.T] * count, axis=1)
+    bias = np.concatenate([bias] * count)
     stacked = np.concatenate(targets, axis=1)
 
     losses: list[list[float]] = [[] for _ in targets]
@@ -432,8 +419,8 @@ def _optimize(
             order = rng.permutation(n)
             for lo in range(0, n, config.batch_size):
                 idx = order[lo:lo + config.batch_size]
-                grad_w, grad_b = _batch_grads(weights_t, bias, x[idx], stacked[idx],
-                                              config.l2_penalty, k)
+                _, grad_w, grad_b = _batch_grads(weights_t, bias, x[idx], stacked[idx],
+                                                 config.l2_penalty, k)
                 weights_t -= config.learning_rate * grad_w
                 bias -= config.learning_rate * grad_b
             pred = _softmax_groups(x @ weights_t + bias, k)
@@ -445,7 +432,7 @@ def _optimize(
                 if failures[b] is not None:
                     continue
                 epoch_loss = float(kl[b].mean())
-                if np.isfinite(epoch_loss) and weights_ok[b] and epoch != compacted.nonfinite_epoch:
+                if np.isfinite(epoch_loss) and weights_ok[b] and epoch != nonfinite_epoch:
                     losses[b].append(epoch_loss)
                     continue
                 what = "weight" if np.isfinite(epoch_loss) else "loss"
@@ -470,7 +457,6 @@ def route(model: RouterModel, text: str) -> tuple[str, np.ndarray]:
     bitwise equal to forward() on the featurized text, but without building
     a CSR matrix for one row.
     """
-    _, indices, weights = next(_hashed_chunks(model.featurizer_config, [text]))  # one chunk
-    logits = model.weights[:, indices] @ weights + model.bias
-    probs = _softmax_rows(logits[None, :])[0]
+    _, indices, data = next(_hashed_chunks(model.featurizer_config, [text]))  # one chunk
+    probs = _gather_forward(model.weights, model.bias, (0, len(indices)), indices, data)[0]
     return model.registry.ids[int(np.argmax(probs))], probs

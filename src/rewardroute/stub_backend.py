@@ -14,13 +14,11 @@ Runnable standalone:
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import threading
 import time
-from http.server import BaseHTTPRequestHandler
 
-from .gateway import _HTTPServer
+from .gateway import _BodyTooLarge, _HTTPServer, _JSONHandler, _query_error
 from .ranking import stub_response
 
 logger = logging.getLogger(__name__)
@@ -34,9 +32,7 @@ class _StubServer(_HTTPServer):
         super().__init__(addr, handler)
 
 
-class _StubHandler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.0"
-
+class _StubHandler(_JSONHandler):
     def log_message(self, fmt, *args):
         logger.debug("stub backend: " + fmt, *args)
 
@@ -46,28 +42,20 @@ class _StubHandler(BaseHTTPRequestHandler):
         if backend.delay_ms > 0:
             time.sleep(backend.delay_ms / 1000.0)
         if backend.fail:
-            self.send_response(500)
-            self.send_header("Content-Length", "0")
-            self.end_headers()
+            self._write(500, {"error": "forced failure"})
             return
         try:
-            length = int(self.headers.get("Content-Length", "0"))
-            payload = json.loads(self.rfile.read(length).decode("utf-8"))
-            query = payload["query"]
-        except (ValueError, KeyError, UnicodeDecodeError):
-            self.send_response(400)
-            self.send_header("Content-Length", "0")
-            self.end_headers()
+            payload = self._read_json()
+        except _BodyTooLarge as exc:
+            self._write(413, {"error": str(exc)})
             return
-        body = json.dumps({
-            "text": stub_response(backend.model_id, query),
-            "model_id": backend.model_id,
-        }).encode("utf-8")
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        query = payload.get("query") if payload is not None else None
+        error = _query_error(payload, query)
+        if error is not None:
+            self._write(400, {"error": error})
+            return
+        self._write(200, {"text": stub_response(backend.model_id, query),
+                          "model_id": backend.model_id})
 
 
 class StubBackend:

@@ -16,15 +16,15 @@ READERS = {"data.py", "checkpoint.py"}
 FORBIDDEN = {"read_text", "read_bytes", "JSONDecodeError"}
 
 
-def _forbidden_names(tree: ast.AST) -> list[tuple[int, str]]:
+def _forbidden_names(tree: ast.AST, forbidden=FORBIDDEN) -> list[tuple[int, str]]:
     found = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr in FORBIDDEN:
+        if isinstance(node, ast.Attribute) and node.attr in forbidden:
             found.append((node.lineno, node.attr))
-        elif isinstance(node, ast.Name) and node.id in FORBIDDEN:
+        elif isinstance(node, ast.Name) and node.id in forbidden:
             found.append((node.lineno, node.id))
         elif isinstance(node, ast.ImportFrom):
-            found += [(node.lineno, a.name) for a in node.names if a.name in FORBIDDEN]
+            found += [(node.lineno, a.name) for a in node.names if a.name in forbidden]
     return found
 
 

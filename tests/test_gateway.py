@@ -195,6 +195,60 @@ def test_negative_content_length_is_400_and_frees_its_slot(gw_env):
     assert status == 200, body
 
 
+def _raw_post(host, port, body=b"", length=None, timeout=2):
+    """POST raw bytes on a fresh socket; return all the server writes before it closes."""
+    length = len(body) if length is None else length
+    with socket.create_connection((host, port), timeout=timeout) as sock:
+        sock.sendall(b"POST /generate HTTP/1.0\r\nContent-Length: %d\r\n\r\n" % length + body)
+        reply = b""
+        while chunk := sock.recv(4096):  # the server closes once it has replied
+            reply += chunk
+    return reply
+
+
+@pytest.mark.parametrize("server", ["gateway", "stub_backend"])
+def test_body_declared_over_the_cap_gets_413_unread(gw_env, server):
+    from rewardroute.gateway import MAX_BODY_BYTES
+
+    gw = gw_env.gateway(timeout_ms=10000)
+    stub = gw_env.backends["m0"]
+    host, port = (gw.config.host, gw.port) if server == "gateway" else (stub.host, stub.port)
+    # No body follows the header: a server that tried to read it would wait.
+    reply = _raw_post(host, port, length=MAX_BODY_BYTES + 1)
+    assert reply.startswith(b"HTTP/1.0 413")
+    assert b"is over" in reply
+    snap = gw.metrics.snapshot()
+    assert snap["errors"] == ({"bad_request": 1} if server == "gateway" else {})
+    assert snap["in_flight"] == 0
+
+
+@pytest.mark.parametrize("body, length", [
+    (b"[1]", None),
+    (b'{"query": 5}', None),
+    (b'{"query": "   "}', None),
+    (b"{broken json", None),
+    (b'{"query": "\xff"}', None),
+    (b"", -1),
+])
+def test_stub_backend_answers_malformed_bodies_with_400(gw_env, body, length):
+    from rewardroute import stub_response
+
+    stub = gw_env.backends["m0"]
+    reply = _raw_post(stub.host, stub.port, body, length)
+    assert reply.startswith(b"HTTP/1.0 400")
+    assert b'{"error": ' in reply
+    status, answer = _post(stub.endpoint, {"query": "tide moon"})
+    assert status == 200
+    assert answer == {"text": stub_response("m0", "tide moon"), "model_id": "m0"}
+
+
+def test_route_log_that_cannot_be_opened_fails_startup(gw_env, tmp_path):
+    missing = tmp_path / "no-such-dir" / "routes.jsonl"
+    with pytest.raises(GatewayError, match="cannot open route log"):
+        gw_env.gateway(route_log_path=str(missing))
+    assert gw_env.backends["m0"].hits == 0
+
+
 def test_partial_body_does_not_hold_an_admission_slot(gw_env):
     gw = gw_env.gateway(max_in_flight=1)
     sock = socket.create_connection((gw.config.host, gw.port), timeout=5)

@@ -23,27 +23,32 @@ from rewardroute import (
 )
 from rewardroute.features import FeaturizerConfig
 from rewardroute.rewards import TagRewardTable, enhance_labels, normalize_rewards
-from rewardroute.router import (_DECAY_CHUNK, RouterModel, _compact, _decay, _l2_can_grow,
-                                _optimize, kl_loss, kl_objective)
+from rewardroute.router import (_DECAY_CHUNK, RouterModel, TrainReport, _decay, _fit,
+                                _kl_rows, _l2_can_grow, kl_objective)
 
 from conftest import make_dataset
 
 
+def _kl(pred, target):
+    """_kl_rows on a one-row batch."""
+    return float(_kl_rows(pred[None, :], target[None, :])[0])
+
+
 def test_kl_hand_values():
     # KL([1,0] || [0.5,0.5]) = ln 2
-    assert kl_loss(np.array([0.5, 0.5]), np.array([1.0, 0.0])) == pytest.approx(
+    assert _kl(np.array([0.5, 0.5]), np.array([1.0, 0.0])) == pytest.approx(
         math.log(2.0), abs=1e-12
     )
     # KL([0.5,0.5] || [0.9,0.1]) = 0.5 ln(0.5/0.9) + 0.5 ln(0.5/0.1)
     expected = 0.5 * math.log(0.5 / 0.9) + 0.5 * math.log(0.5 / 0.1)
-    assert kl_loss(np.array([0.9, 0.1]), np.array([0.5, 0.5])) == pytest.approx(
+    assert _kl(np.array([0.9, 0.1]), np.array([0.5, 0.5])) == pytest.approx(
         expected, abs=1e-12
     )
 
 
 def test_kl_of_identical_distributions_is_zero():
     p = np.array([0.2, 0.3, 0.5])
-    assert kl_loss(p, p) == 0.0
+    assert _kl(p, p) == 0.0
 
 
 def test_kl_non_negative_random():
@@ -52,12 +57,7 @@ def test_kl_non_negative_random():
         k = int(rng.integers(2, 8))
         p = softmax(rng.normal(size=k))
         t = softmax(rng.normal(size=k))
-        assert kl_loss(p, t) >= -1e-12
-
-
-def test_kl_rejects_mismatched_lengths():
-    with pytest.raises(ValueError):
-        kl_loss(np.array([0.5, 0.5]), np.array([1.0, 0.0, 0.0]))
+        assert _kl(p, t) >= -1e-12
 
 
 def _finite_difference_grads(weights, bias, x, targets, l2, step=1e-5):
@@ -351,26 +351,27 @@ def test_lockstep_descent_matches_each_target_alone_bitwise(tiny_benchmark, coun
     dataset, x = _lockstep_case(tiny_benchmark, rows)
     table = aggregate_tag_rewards(dataset)
     model = init_router(dataset.registry, _SPARSE_FEATURIZER, seed=config.seed)
-    compacted = _compact(model, x, config)
     targets = [build_targets(dataset, table, beta, config.temperature)
                for beta in [0.0, 0.3, 1.0, 0.5, 0.9][:count]]
-    block, bias, losses = _optimize(model, compacted, targets, config)
-    k = model.num_models
-    assert block.shape == (len(compacted.columns), count * k)
-    assert block.flags.c_contiguous
-    for b, target in enumerate(targets):
-        alone_block, alone_bias, (alone_losses,) = _optimize(model, compacted, [target], config)
-        assert block[:, b * k:(b + 1) * k].tobytes() == alone_block.tobytes()
-        assert bias[b * k:(b + 1) * k].tobytes() == alone_bias.tobytes()
-        assert losses[b] == alone_losses
-        assert len(losses[b]) == config.epochs
+    columns, fitted = _fit(model, x, targets, config, TrainReport())
+    assert columns.tolist() == list(range(model.dimension))
+    assert len(fitted) == count
+    for target, (weights, bias, losses) in zip(targets, fitted):
+        assert weights.shape == model.weights.shape
+        assert weights.flags.c_contiguous
+        _, [(alone_weights, alone_bias, alone_losses)] = _fit(model, x, [target], config,
+                                                              TrainReport())
+        assert weights.tobytes() == alone_weights.tobytes()
+        assert bias.tobytes() == alone_bias.tobytes()
+        assert losses == alone_losses
+        assert len(losses) == config.epochs
 
 
-def _first_divergence(model, compacted, targets, config):
+def _first_divergence(model, x, targets, config):
     """Train each target alone, in list order, and return the first DivergenceError."""
     for target in targets:
         try:
-            _optimize(model, compacted, [target], config)
+            _fit(model, x, [target], config, TrainReport())
         except DivergenceError as exc:
             return exc
     return None
@@ -390,13 +391,12 @@ def test_lockstep_divergence_raises_what_training_in_order_raises(tiny_benchmark
     model = init_router(dataset.registry, FeaturizerConfig(dimension=2048), seed=1)
     x = featurize_matrix(model.featurizer_config, [r.query.text for r in dataset.rows])
     config = TrainConfig(learning_rate=1e6, epochs=12, batch_size=16, seed=1)
-    compacted = _compact(model, x, config)
     targets = [build_targets(dataset, table, beta, 1.0) * scale
                for beta, scale in zip([0.0, 0.5, 1.0], scales)]
-    expected = _first_divergence(model, compacted, targets, config)
+    expected = _first_divergence(model, x, targets, config)
     assert expected is not None and expected.last_finite_loss is not None
     with pytest.raises(DivergenceError) as got:
-        _optimize(model, compacted, targets, config)
+        _fit(model, x, targets, config, TrainReport())
     assert got.value.last_finite_loss == expected.last_finite_loss
     assert str(got.value) == str(expected)
 
