@@ -196,12 +196,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     gateway = Gateway(config)
     gateway.start()
     print(f"gateway listening on {gateway.url}")
-    try:
-        gateway.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        gateway.shutdown()
+    gateway.serve_forever()     # a Ctrl-C shuts it down, and main() maps it to EXIT_OK
     return EXIT_OK
 
 

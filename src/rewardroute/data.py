@@ -210,12 +210,8 @@ def _model_vector(values, registry: ModelRegistry, where: str, field: str,
     return vector
 
 
-def read_registry_file(path: str | Path) -> tuple[ModelRegistry, list[dict]]:
-    """Parse a registry JSON file into its registry and its raw entries, in order.
-
-    The file is {"models": [{"model_id": ...}, ...]}; keys other than
-    "model_id" are left in the entries for the caller that needs them.
-    """
+def _read_registry(path: str | Path) -> tuple[ModelRegistry, list[dict]]:
+    """The registry of a registry JSON file and its raw entries, in order."""
     raw = read_json(path, "registry file")
     entries = raw.get("models")
     if not isinstance(entries, list):
@@ -229,9 +225,25 @@ def read_registry_file(path: str | Path) -> tuple[ModelRegistry, list[dict]]:
     return ModelRegistry(tuple(ids)), entries
 
 
+def read_registry_file(path: str | Path) -> tuple[ModelRegistry, dict[str, str]]:
+    """Parse a registry JSON file into its registry and its endpoint map.
+
+    The file is {"models": [{"model_id": ..., "endpoint": ...}, ...]}. The
+    map takes each model whose entry names an endpoint to that URL, which
+    must be a string; other keys are ignored.
+    """
+    registry, entries = _read_registry(path)
+    endpoints = {m: e["endpoint"] for m, e in zip(registry.ids, entries)
+                 if e.get("endpoint") is not None}
+    bad = [m for m, endpoint in endpoints.items() if not isinstance(endpoint, str)]
+    if bad:
+        raise DataFormatError(f"registry file {path}: endpoint of {bad} is not a string")
+    return registry, endpoints
+
+
 def load_registry(path: str | Path) -> ModelRegistry:
-    """Read the ordered model ids of a registry JSON file."""
-    return read_registry_file(path)[0]
+    """Read the ordered model ids of a registry JSON file; endpoints are not read."""
+    return _read_registry(path)[0]
 
 
 def save_registry(registry: ModelRegistry, path: str | Path) -> None:

@@ -321,6 +321,8 @@ def entropy_quality_analysis(
     between entropy and the 0/1 correctness column; a negative value means
     uncertain (high-entropy) reward vectors mis-select more often.
     """
+    if len(dataset) == 0:
+        raise ValueError("cannot evaluate on an empty dataset")
     pairs: list[tuple[float, bool]] = []
     for row in dataset.rows:
         entropy = reward_entropy(normalize_rewards(row.rewards))

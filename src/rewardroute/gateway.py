@@ -17,12 +17,21 @@ threads; reload replaces the reference, and in-flight requests finish on
 the snapshot they started with. Admission is a bounded gate: when
 max_in_flight requests are already being handled, new ones get 503
 immediately instead of queuing.
+
+A /route or /generate request takes one path: read the query, route it
+once, then (for /generate) call the chosen backend. A backend call ends in
+a status string, "ok", "timeout" or "backend_error: <reason>", and a
+backend error, not a timeout, gets one call to the fallback model. The
+status goes into the counters, the route-log record and the reply.
+
+_HTTPServer, _JSONHandler and _query are shared with the stub backend:
+both servers bind, serve on one thread and stop the same way.
 """
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
+import http.client
 import json
 import logging
 import sys
@@ -40,7 +49,7 @@ import numpy as np
 
 from .checkpoint import load_checkpoint
 from .data import check_str, read_json, read_registry_file, require_fields, to_number
-from .errors import DataFormatError, GatewayError
+from .errors import GatewayError
 from .router import RouterModel, route
 
 logger = logging.getLogger(__name__)
@@ -58,6 +67,8 @@ class GatewayConfig:
     route_log_path: str | None = None
 
     def __post_init__(self):
+        if not 0 <= self.port <= 65535:
+            raise GatewayError(f"port must be in 0..65535, not {self.port}")
         if self.timeout_ms <= 0:
             raise GatewayError("timeout_ms must be positive")
         if self.max_in_flight < 1:
@@ -73,15 +84,7 @@ class GatewayConfig:
             q = Path(check_str(raw[key], where, repr(key)))
             return str(q if q.is_absolute() else Path(path).parent / q)
 
-        registry_path = _path("registry")
-        registry, entries = read_registry_file(registry_path)
-        endpoints = {m: e["endpoint"] for m, e in zip(registry.ids, entries)
-                     if e.get("endpoint") is not None}
-        bad = [m for m, endpoint in endpoints.items() if not isinstance(endpoint, str)]
-        if bad:
-            raise DataFormatError(
-                f"registry file {registry_path}: endpoint of {bad} is not a string"
-            )
+        _, endpoints = read_registry_file(_path("registry"))
         fallback = raw.get("fallback_model_id")
         return cls(
             checkpoint_path=_path("checkpoint"),
@@ -175,9 +178,29 @@ def query_hash(text: str) -> str:
 
 
 class _HTTPServer(ThreadingHTTPServer):
-    """The gateway's and the stub backend's server: a deep backlog, quiet hang-ups."""
+    """The gateway's and the stub backend's server: a deep backlog, quiet hang-ups.
+
+    `owner` is the Gateway or StubBackend its handlers answer for; start()
+    serves on a daemon thread and stop() ends that thread and closes the socket.
+    """
 
     request_queue_size = 256
+
+    def __init__(self, addr, handler, owner):
+        self.owner = owner
+        self.thread: threading.Thread | None = None
+        super().__init__(addr, handler)
+
+    def start(self, name: str) -> None:
+        self.thread = threading.Thread(target=self.serve_forever,
+                                       kwargs={"poll_interval": 0.05}, name=name, daemon=True)
+        self.thread.start()
+
+    def stop(self) -> None:
+        if self.thread is not None:
+            self.shutdown()
+            self.thread.join()
+        self.server_close()   # with block_on_close, joins the handler threads too
 
     def handle_error(self, request, client_address):
         # A client that hangs up before its reply is written is routine, not
@@ -192,10 +215,6 @@ class _HTTPServer(ThreadingHTTPServer):
 class _GatewayServer(_HTTPServer):
     daemon_threads = False      # handler threads are joined on close (graceful drain)
     block_on_close = True
-
-    def __init__(self, addr, handler, gateway: "Gateway"):
-        self.gateway = gateway
-        super().__init__(addr, handler)
 
 
 # A larger declared POST body gets 413 unread, so no client can make a
@@ -252,16 +271,16 @@ class _Handler(_JSONHandler):
         # so a client that stalls mid-request is dropped (handle_one_request
         # closes on TimeoutError) instead of holding this thread, and
         # shutdown(), which joins it, forever.
-        self.timeout = self.server.gateway.config.timeout_ms / 1000.0
+        self.timeout = self.server.owner.config.timeout_ms / 1000.0
         super().setup()
 
     def do_GET(self):
-        self._write(*self.server.gateway.handle_get(self.path))
+        self._write(*self.server.owner.handle_get(self.path))
 
     def do_POST(self):
         # The body is read before admission: a client that trickles its body
         # holds this handler thread, never an admission slot.
-        gateway = self.server.gateway
+        gateway = self.server.owner
         try:
             payload = self._read_json()
         except _BodyTooLarge as exc:
@@ -276,7 +295,7 @@ class Gateway:
 
     def __init__(self, config: GatewayConfig):
         self.config = config
-        self._model = self._load_and_check(config.checkpoint_path)
+        self.model = self._load_and_check(config.checkpoint_path)
         self.metrics = Metrics()
         self._log_lock = threading.Lock()
         try:
@@ -286,13 +305,8 @@ class Gateway:
         except OSError as exc:
             raise GatewayError(f"cannot open route log {config.route_log_path}: {exc}") from exc
         self._server: _GatewayServer | None = None
-        self._thread: threading.Thread | None = None
 
     # -- model snapshot ----------------------------------------------------
-
-    @property
-    def model(self) -> RouterModel:
-        return self._model
 
     def _load_and_check(self, checkpoint_path: str) -> RouterModel:
         model = load_checkpoint(checkpoint_path)
@@ -310,7 +324,7 @@ class Gateway:
     def reload_checkpoint(self, checkpoint_path: str) -> RouterModel:
         """Validate and atomically swap in a new model snapshot."""
         new_model = self._load_and_check(checkpoint_path)
-        self._model = new_model
+        self.model = new_model
         logger.info("gateway reloaded checkpoint from %s", checkpoint_path)
         return new_model
 
@@ -326,11 +340,7 @@ class Gateway:
             raise GatewayError(
                 f"cannot bind {self.config.host}:{self.config.port}: {exc}"
             ) from exc
-        self._thread = threading.Thread(
-            target=lambda: self._server.serve_forever(poll_interval=0.05),
-            name="gateway-serve", daemon=True,
-        )
-        self._thread.start()
+        self._server.start("gateway-serve")
 
     @property
     def port(self) -> int:
@@ -345,24 +355,20 @@ class Gateway:
     def shutdown(self) -> None:
         """Stop accepting connections, wait for in-flight handlers, close the route log: final."""
         if self._server is not None:
-            self._server.shutdown()
-            self._server.server_close()   # joins handler threads (block_on_close)
-            if self._thread is not None:
-                self._thread.join()
+            self._server.stop()
             self._server = None
-            self._thread = None
         if self._log is not None:
             self._log.close()
 
     def serve_forever(self) -> None:
-        """Blocking serve; returns after shutdown() from another thread/signal."""
+        """Serve until shutdown() from another thread or a KeyboardInterrupt, then shut down."""
         if self._server is None:
             self.start()
-        thread = self._thread
+        thread = self._server.thread
         try:
             while thread.is_alive():
                 thread.join(timeout=0.2)
-        except KeyboardInterrupt:
+        finally:
             self.shutdown()
 
     # -- request handling ----------------------------------------------------
@@ -394,60 +400,58 @@ class Gateway:
             return 503, {"error": "over capacity"}
         started = time.perf_counter()
         try:
-            text = payload.get("query") if payload is not None else None
-            error = _query_error(payload, text)
+            text, error = _query(payload)
             if error is not None:
                 self.metrics.record_error("bad_request")
                 return 400, {"error": error}
-            if path == "/route":
-                model_id, probs = self._decide(self.model, text)
-                self.metrics.record_latency((time.perf_counter() - started) * 1000.0)
-                return 200, {
-                    "model_id": model_id,
-                    "distribution": probs,
-                    "request_id": uuid.uuid4().hex,
-                }
-            return self._generate(text, started)
+            model_id, probs = route(self.model, text)
+            self.metrics.record_routed(model_id)
+            distribution = [float(p) for p in probs]
+            if path == "/generate":
+                return self._generate(text, model_id, distribution, started)
+            self.metrics.record_latency((time.perf_counter() - started) * 1000.0)
+            return 200, {
+                "model_id": model_id,
+                "distribution": distribution,
+                "request_id": uuid.uuid4().hex,
+            }
         finally:
             self.metrics.leave()
 
-    def _decide(self, model: RouterModel, text: str) -> tuple[str, list[float]]:
-        model_id, probs = route(model, text)
-        self.metrics.record_routed(model_id)
-        return model_id, [float(p) for p in probs]
-
-    def _call_backend(self, model_id: str, text: str) -> str:
+    def _call_backend(self, model_id: str, text: str) -> tuple[str | None, str]:
+        """(text, "ok"), (None, "timeout") or (None, "backend_error: <reason>")."""
+        # UTF-8 with nothing escaped: the forwarded body is never larger than
+        # the body the gateway accepted, so it fits the backend's cap too.
         req = urllib.request.Request(
             self.config.endpoints[model_id],
-            data=json.dumps({"query": text}).encode("utf-8"),
+            data=json.dumps({"query": text}, ensure_ascii=False,
+                            separators=(",", ":")).encode("utf-8"),
             headers={"Content-Type": "application/json"},
             method="POST",
         )
         try:
             with urllib.request.urlopen(req, timeout=self.config.timeout_ms / 1000.0) as resp:
                 payload = json.loads(resp.read().decode("utf-8"))
-        except (urllib.error.URLError, OSError, ValueError) as exc:
-            raise _classify_backend_error(exc) from exc
+        except (urllib.error.URLError, OSError, ValueError, http.client.HTTPException) as exc:
+            reason = exc.reason if isinstance(exc, urllib.error.URLError) else exc
+            if isinstance(reason, TimeoutError):    # socket.timeout is TimeoutError
+                return None, "timeout"
+            return None, f"backend_error: {reason}"
         if not isinstance(payload, dict) or "text" not in payload:
-            raise BackendError("backend response has no 'text' field")
-        return str(payload["text"])
+            return None, "backend_error: backend response has no 'text' field"
+        return str(payload["text"]), "ok"
 
-    def _generate(self, text: str, started: float) -> tuple[int, dict]:
-        model = self.model     # one snapshot for the whole request
+    def _generate(self, text: str, model_id: str, distribution: list[float],
+                  started: float) -> tuple[int, dict]:
         request_id = uuid.uuid4().hex
-        model_id, probs = self._decide(model, text)
-        served_by, status, response_text = model_id, "ok", None
+        served_by = model_id
+        response_text, status = self._call_backend(model_id, text)
         fallback = self.config.fallback_model_id
-        try:
-            response_text = self._call_backend(model_id, text)
-        except BackendTimeout:
-            status = "timeout"     # a slow query is not retried on a second backend
-        except BackendError as exc:
-            status = f"backend_error: {exc}"
-            if fallback is not None and fallback != model_id:
-                with contextlib.suppress(BackendError):
-                    response_text = self._call_backend(fallback, text)
-                    served_by, status = fallback, "ok"
+        # A slow query is not retried on a second backend; a failed one is, once.
+        if response_text is None and status != "timeout" and fallback not in (None, model_id):
+            fallback_text, fallback_status = self._call_backend(fallback, text)
+            if fallback_text is not None:
+                response_text, served_by, status = fallback_text, fallback, fallback_status
         failover = served_by != model_id
         if failover:
             self.metrics.record_error("failover")
@@ -456,8 +460,19 @@ class Gateway:
 
         latency_ms = (time.perf_counter() - started) * 1000.0
         self.metrics.record_latency(latency_ms)
-        self._append_route_record(request_id, text, model_id, served_by,
-                                  probs, latency_ms, status, failover)
+        if self._log is not None:
+            record = json.dumps({
+                "request_id": request_id,
+                "query_hash": query_hash(text),
+                "model_id": model_id,
+                "served_by": served_by,
+                "distribution": distribution,
+                "latency_ms": latency_ms,
+                "status": status,
+                "failover": failover,
+            })
+            with self._log_lock:
+                self._log.write(record + "\n")
         if response_text is None:
             return (504 if status == "timeout" else 502), {
                 "error": status,
@@ -471,47 +486,16 @@ class Gateway:
             "latency_ms": latency_ms,
         }
 
-    def _append_route_record(self, request_id, text, model_id, served_by,
-                             probs, latency_ms, status, failover) -> None:
-        if self._log is None:
-            return
-        record = {
-            "request_id": request_id,
-            "query_hash": query_hash(text),
-            "model_id": model_id,
-            "served_by": served_by,
-            "distribution": probs,
-            "latency_ms": latency_ms,
-            "status": status,
-            "failover": failover,
-        }
-        with self._log_lock:
-            self._log.write(json.dumps(record) + "\n")
 
-
-def _query_error(payload: dict | None, text) -> str | None:
-    """Why a /route or /generate body cannot be routed, or None."""
+def _query(payload: dict | None) -> tuple[str | None, str | None]:
+    """(query, None) for a routable /route or /generate body, else (None, why not)."""
     if payload is None:
-        return "body must be a JSON object"
+        return None, "body must be a JSON object"
+    text = payload.get("query")
     if not isinstance(text, str) or not text.strip():
-        return "missing or empty 'query'"
+        return None, "missing or empty 'query'"
     try:
         text.encode("utf-8")
     except UnicodeEncodeError:  # a lone surrogate such as JSON's "\ud800"
-        return "'query' holds a lone surrogate, so it has no UTF-8 form"
-    return None
-
-
-class BackendError(Exception):
-    pass
-
-
-class BackendTimeout(BackendError):
-    pass
-
-
-def _classify_backend_error(exc: Exception) -> Exception:
-    reason = exc.reason if isinstance(exc, urllib.error.URLError) else exc
-    if isinstance(reason, TimeoutError):    # socket.timeout is TimeoutError
-        return BackendTimeout(str(reason) or "timed out")
-    return BackendError(str(reason))
+        return None, "'query' holds a lone surrogate, so it has no UTF-8 form"
+    return text, None

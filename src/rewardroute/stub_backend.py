@@ -4,7 +4,9 @@ Answers POST {"query": ...} with {"text": "<model_id>:<hash12>", "model_id": ...
 where the text matches stub_response() from the ranking module, so a gateway
 response can be checked against an offline routing decision exactly. Supports
 an artificial delay and a forced-failure mode for exercising timeout and
-error paths.
+error paths. It reads bodies with the gateway's reader and checks the query
+with the gateway's rule (a bad body is 400, one over the cap 413), and it
+binds, serves and stops through the gateway's server class.
 
 Runnable standalone:
 
@@ -18,18 +20,10 @@ import logging
 import threading
 import time
 
-from .gateway import _BodyTooLarge, _HTTPServer, _JSONHandler, _query_error
+from .gateway import _BodyTooLarge, _HTTPServer, _JSONHandler, _query
 from .ranking import stub_response
 
 logger = logging.getLogger(__name__)
-
-
-class _StubServer(_HTTPServer):
-    daemon_threads = True
-
-    def __init__(self, addr, handler, backend: "StubBackend"):
-        self.backend = backend
-        super().__init__(addr, handler)
 
 
 class _StubHandler(_JSONHandler):
@@ -37,7 +31,7 @@ class _StubHandler(_JSONHandler):
         logger.debug("stub backend: " + fmt, *args)
 
     def do_POST(self):
-        backend: StubBackend = self.server.backend  # type: ignore[attr-defined]
+        backend: StubBackend = self.server.owner  # type: ignore[attr-defined]
         backend.count_hit()
         if backend.delay_ms > 0:
             time.sleep(backend.delay_ms / 1000.0)
@@ -49,8 +43,7 @@ class _StubHandler(_JSONHandler):
         except _BodyTooLarge as exc:
             self._write(413, {"error": str(exc)})
             return
-        query = payload.get("query") if payload is not None else None
-        error = _query_error(payload, query)
+        query, error = _query(payload)
         if error is not None:
             self._write(400, {"error": error})
             return
@@ -69,8 +62,7 @@ class StubBackend:
         self.fail = fail
         self._hits = 0
         self._lock = threading.Lock()
-        self._server = _StubServer((host, port), _StubHandler, self)
-        self._thread: threading.Thread | None = None
+        self._server = _HTTPServer((host, port), _StubHandler, self)
 
     @property
     def port(self) -> int:
@@ -90,19 +82,11 @@ class StubBackend:
             self._hits += 1
 
     def start(self) -> "StubBackend":
-        self._thread = threading.Thread(
-            target=lambda: self._server.serve_forever(poll_interval=0.05),
-            name=f"stub-{self.model_id}", daemon=True,
-        )
-        self._thread.start()
+        self._server.start(f"stub-{self.model_id}")
         return self
 
     def shutdown(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
-        if self._thread is not None:
-            self._thread.join()
-            self._thread = None
+        self._server.stop()
 
 
 def main(argv: list[str] | None = None) -> int:

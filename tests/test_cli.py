@@ -240,6 +240,28 @@ def test_serve_on_occupied_port_exits_runtime_error(tmp_path, ckpt, capsys):
     assert "bind" in err
 
 
+def _serve_config(tmp_path, ckpt, port) -> str:
+    """A gateway config on `port` whose backends are never called."""
+    registry = tmp_path / "registry.json"
+    registry.write_text(json.dumps({"models": [
+        {"model_id": m, "endpoint": "http://127.0.0.1:1/"}
+        for m in ("mathsolver", "codegen", "generalist")
+    ]}), encoding="utf-8")
+    config = tmp_path / "gateway.json"
+    config.write_text(json.dumps({"checkpoint": ckpt, "registry": str(registry), "port": port}),
+                      encoding="utf-8")
+    return str(config)
+
+
+@pytest.mark.parametrize("port", [-1, 70000])
+def test_serve_on_a_port_out_of_range_exits_runtime_error(tmp_path, ckpt, capsys, port):
+    code = main(["serve", "--config", _serve_config(tmp_path, ckpt, port)])
+    err = capsys.readouterr().err
+    assert code == EXIT_RUNTIME
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "port" in err
+
+
 def test_serving_does_not_import_scipy_stats():
     # scipy.stats is most of the CLI's import time and serving never uses it
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -580,3 +602,34 @@ def test_serve_subprocess_stops_cleanly_on_sigint(tmp_path, ckpt):
             proc.communicate()
     assert proc.returncode == 0
     assert "gateway listening on" in stdout
+
+
+def test_serve_shuts_the_gateway_down_once_on_ctrl_c(tmp_path, ckpt, monkeypatch, capsys):
+    import _thread
+    import threading
+
+    from rewardroute.gateway import Gateway
+
+    started, shutdowns = [], []
+    real_start, real_shutdown = Gateway.start, Gateway.shutdown
+    monkeypatch.setattr(Gateway, "start",
+                        lambda self: (real_start(self), started.append(self))[0])
+    monkeypatch.setattr(Gateway, "shutdown",
+                        lambda self: (shutdowns.append(self), real_shutdown(self))[1])
+
+    def interrupt_once_serving():
+        deadline = time.monotonic() + 10.0
+        while not started and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if started:
+            time.sleep(0.3)  # serve_forever is now waiting on the serving thread
+            _thread.interrupt_main()  # what a Ctrl-C raises in the main thread
+
+    ctrl_c = threading.Thread(target=interrupt_once_serving)
+    ctrl_c.start()
+    code = main(["serve", "--config", _serve_config(tmp_path, ckpt, 0)])
+    ctrl_c.join(timeout=15)
+    assert not ctrl_c.is_alive()
+    assert code == EXIT_OK
+    assert "gateway listening on" in capsys.readouterr().out
+    assert len(started) == 1 and shutdowns == started

@@ -349,3 +349,9 @@ def test_entropy_analysis_degenerate_when_noiseless():
     analysis = entropy_quality_analysis(dataset, oracle)
     assert analysis.degenerate
     assert analysis.correlation is None
+
+
+def test_entropy_analysis_rejects_an_empty_dataset():
+    dataset = RewardDataset(registry=ModelRegistry(("m0", "m1")), rows=())
+    with pytest.raises(ValueError, match="cannot evaluate on an empty dataset"):
+        entropy_quality_analysis(dataset, {})

@@ -5,6 +5,7 @@ import time
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
@@ -151,6 +152,22 @@ def test_query_without_a_utf8_form_is_a_bad_request(gw_env, path):
     assert sum(b.hits for b in gw_env.backends.values()) == 0
     status, _ = _post(gw.url + path, {"query": "tide moon"})
     assert status == 200
+
+
+def test_non_ascii_query_under_the_cap_fits_the_backend_cap(gw_env, ckpt):
+    from rewardroute import stub_response
+    from rewardroute.gateway import MAX_BODY_BYTES
+
+    query = " ".join(["éééé"] * 45_000)
+    body = json.dumps({"query": query}, ensure_ascii=False).encode("utf-8")
+    # With ASCII escapes each "é" would grow from 2 bytes to 6, past the cap.
+    assert len(body) < MAX_BODY_BYTES < len(json.dumps({"query": query}))
+    gw = gw_env.gateway()
+    status, reply = _post(gw.url + "/generate", body)
+    assert status == 200, reply
+    chosen, _ = route(load_checkpoint(ckpt), query)
+    assert reply["text"] == stub_response(chosen, query)
+    assert gw.metrics.snapshot()["errors"] == {}
 
 
 def test_unknown_path_is_404(gw_env):
@@ -379,6 +396,93 @@ def test_timeout_is_504_and_skips_fallback(gw_env, ckpt):
     assert gw.metrics.snapshot()["errors"]["timeout"] == 1
 
 
+class _RawBackend(BaseHTTPRequestHandler):
+    """Reads a POST, then writes its server's `reply` bytes as the whole response."""
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        self.wfile.write(self.server.reply)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def raw_backend():
+    """Starts backends that answer every POST with fixed bytes; returns their URLs."""
+    servers = []
+
+    def start(reply: bytes) -> str:
+        server = ThreadingHTTPServer(("127.0.0.1", 0), _RawBackend)
+        server.reply = reply
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        servers.append(server)
+        return f"http://127.0.0.1:{server.server_address[1]}/"
+
+    yield start
+    for server in servers:
+        server.shutdown()
+        server.server_close()
+
+
+@pytest.mark.parametrize("case", ["timeout", "no_text", "not_json"])
+def test_generate_outcomes_pin_reply_counters_and_route_log(
+        gw_env, ckpt, tmp_path, raw_backend, case):
+    model = load_checkpoint(ckpt)
+    query = "basil thyme sage mint"
+    primary, _ = route(model, query)
+    log_path = tmp_path / "routes.jsonl"
+    if case == "timeout":
+        fallback = next(m for m in model.registry.ids if m != primary)
+        gw_env.backends[primary].delay_ms = 1000
+        gw = gw_env.gateway(timeout_ms=150, fallback_model_id=fallback,
+                            route_log_path=str(log_path))
+        code, status, kind = 504, "timeout", "timeout"
+    else:
+        # A second gateway's /route answers 200 with JSON that has no "text".
+        backend = (gw_env.gateway().url + "/route" if case == "no_text"
+                   else raw_backend(b"HTTP/1.0 200 OK\r\nContent-Length: 8\r\n\r\nnot json"))
+        gw = gw_env.gateway(endpoints={m: backend for m in model.registry.ids},
+                            route_log_path=str(log_path))
+        code, kind = 502, "backend"
+        status = ("backend_error: backend response has no 'text' field" if case == "no_text"
+                  else "backend_error: Expecting value: line 1 column 1 (char 0)")
+
+    reply_code, body = _post(gw.url + "/generate", {"query": query})
+    assert reply_code == code
+    record = json.loads(log_path.read_text())
+    assert body == {"error": status, "model_id": primary, "request_id": record["request_id"]}
+    assert list(body) == ["error", "model_id", "request_id"]
+    assert list(record) == ["request_id", "query_hash", "model_id", "served_by",
+                            "distribution", "latency_ms", "status", "failover"]
+    assert (record["status"], record["model_id"], record["served_by"], record["failover"]) \
+        == (status, primary, primary, False)
+    assert sum(b.hits for b in gw_env.backends.values()) == (case == "timeout")
+    snap = gw.metrics.snapshot()
+    assert snap["errors"] == {kind: 1}
+    assert snap["routed"] == {primary: 1}
+    assert (snap["latency_ms_count"], snap["in_flight"]) == (1, 0)
+
+
+def test_backend_reply_that_is_not_http_is_a_backend_error(gw_env, ckpt, raw_backend):
+    model = load_checkpoint(ckpt)
+    query = "basil thyme sage mint"
+    primary, _ = route(model, query)
+    fallback = next(m for m in model.registry.ids if m != primary)
+    endpoints = {**gw_env.endpoints(), primary: raw_backend(b"garbage\r\n\r\n")}
+
+    gw = gw_env.gateway(endpoints=endpoints)
+    status, body = _post(gw.url + "/generate", {"query": query})
+    assert status == 502
+    assert body["error"].startswith("backend_error: garbage")
+    assert gw.metrics.snapshot()["errors"] == {"backend": 1}
+
+    gw = gw_env.gateway(endpoints=endpoints, fallback_model_id=fallback)
+    status, body = _post(gw.url + "/generate", {"query": query})
+    assert (status, body["model_id"]) == (200, fallback)
+    assert gw.metrics.snapshot()["errors"] == {"failover": 1}
+
+
 def test_metrics_counters_are_monotone(gw_env):
     gw = gw_env.gateway()
     seen = []
@@ -577,6 +681,12 @@ def test_gateway_config_validation(tmp_path, gw_env, ckpt):
         GatewayConfig(checkpoint_path=ckpt, endpoints=gw_env.endpoints(), timeout_ms=0)
     with pytest.raises(GatewayError, match="max_in_flight"):
         GatewayConfig(checkpoint_path=ckpt, endpoints=gw_env.endpoints(), max_in_flight=0)
+
+
+@pytest.mark.parametrize("port", [-1, 65536, 70000])
+def test_gateway_config_rejects_a_port_out_of_range(gw_env, ckpt, port):
+    with pytest.raises(GatewayError, match="port"):
+        GatewayConfig(checkpoint_path=ckpt, endpoints=gw_env.endpoints(), port=port)
 
 
 def test_latency_window_keeps_only_recent_requests():
