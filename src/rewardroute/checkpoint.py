@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import ModelRegistry
+from .data import registry_entries, registry_from_entries
 from .errors import CheckpointError, DataFormatError
 from .features import FeaturizerConfig
 from .router import MODEL_FORMAT_VERSION, RouterModel
@@ -33,22 +33,13 @@ FORMAT_VERSION = 1
 _DIGEST_SIZE = 32
 
 
-def _registry_to_dict(registry: ModelRegistry) -> list[dict]:
-    return [{"model_id": model_id} for model_id in registry.ids]
-
-
-def _registry_from_dict(entries: list[dict]) -> ModelRegistry:
-    # Other keys (older checkpoints also carry "endpoint"/"display_name") are ignored.
-    return ModelRegistry(tuple(e["model_id"] for e in entries))
-
-
 def serialize_model(model: RouterModel) -> bytes:
     header = {
         "model_version": model.version,
         "num_models": model.num_models,
         "dimension": model.dimension,
         "featurizer": model.featurizer_config.to_dict(),
-        "registry": _registry_to_dict(model.registry),
+        "registry": registry_entries(model.registry),
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     payload = struct.pack("<I", len(header_bytes))
@@ -97,7 +88,7 @@ def deserialize_model(blob: bytes) -> RouterModel:
             weights=weights,
             bias=bias,
             featurizer_config=FeaturizerConfig.from_dict(header["featurizer"]),
-            registry=_registry_from_dict(header["registry"]),
+            registry=registry_from_entries(header["registry"], "checkpoint registry"),
             version=int(header.get("model_version", MODEL_FORMAT_VERSION)),
         )
     except (KeyError, TypeError, ValueError, OverflowError, DataFormatError) as exc:

@@ -210,19 +210,34 @@ def _model_vector(values, registry: ModelRegistry, where: str, field: str,
     return vector
 
 
+def registry_entries(registry: ModelRegistry) -> list[dict]:
+    """The registry as the entry list registry files and checkpoints store."""
+    return [{"model_id": model_id} for model_id in registry.ids]
+
+
+def registry_from_entries(entries: list, where: str) -> ModelRegistry:
+    """The registry of an entry list [{"model_id": ...}, ...].
+
+    Every entry must be an object whose "model_id" is a string. Other keys
+    (endpoints in registry files, "endpoint"/"display_name" in older
+    checkpoints) are ignored.
+    """
+    ids = []
+    for i, entry in enumerate(entries):
+        entry_where = f"{where}: entry {i}"
+        if not isinstance(entry, dict) or "model_id" not in entry:
+            raise DataFormatError(f"{entry_where} has no 'model_id'")
+        ids.append(check_str(entry["model_id"], entry_where, "'model_id'"))
+    return ModelRegistry(tuple(ids))
+
+
 def _read_registry(path: str | Path) -> tuple[ModelRegistry, list[dict]]:
     """The registry of a registry JSON file and its raw entries, in order."""
     raw = read_json(path, "registry file")
     entries = raw.get("models")
     if not isinstance(entries, list):
         raise DataFormatError(f"registry file {path} must contain a 'models' list")
-    ids = []
-    for i, entry in enumerate(entries):
-        where = f"registry file {path}: entry {i}"
-        if not isinstance(entry, dict) or "model_id" not in entry:
-            raise DataFormatError(f"{where} has no 'model_id'")
-        ids.append(check_str(entry["model_id"], where, "'model_id'"))
-    return ModelRegistry(tuple(ids)), entries
+    return registry_from_entries(entries, f"registry file {path}"), entries
 
 
 def read_registry_file(path: str | Path) -> tuple[ModelRegistry, dict[str, str]]:
@@ -247,9 +262,8 @@ def load_registry(path: str | Path) -> ModelRegistry:
 
 
 def save_registry(registry: ModelRegistry, path: str | Path) -> None:
-    entries = [{"model_id": model_id} for model_id in registry.ids]
     Path(path).write_text(
-        json.dumps({"models": entries}, indent=2, sort_keys=False) + "\n",
+        json.dumps({"models": registry_entries(registry)}, indent=2, sort_keys=False) + "\n",
         encoding="utf-8",
     )
 

@@ -23,7 +23,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .data import ModelRegistry, Query, RewardDataset
+from .data import ModelRegistry, RewardDataset
 from .errors import DataFormatError
 from .features import featurize_matrix, stable_hash
 from .ranking import SyntheticSpec, make_synthetic_benchmark, oracle_select, rmr_choice
@@ -52,28 +52,26 @@ def subset_ranks(subset: SubsetScores) -> dict[str, int]:
     return ranks
 
 
-def mean_task_rank(subsets: list[SubsetScores], system: str) -> float:
-    """Average of the system's per-subset ranks; requires full coverage."""
+def _covering(subsets: list[SubsetScores], system: str) -> list[SubsetScores]:
+    """The subsets, once every one of them is known to score the system."""
     if not subsets:
         raise ValueError("need at least one subset")
-    ranks = []
     for subset in subsets:
         if system not in subset.scores:
             raise DataFormatError(f"system {system!r} missing from subset {subset.subset_name!r}")
-        ranks.append(subset_ranks(subset)[system])
+    return subsets
+
+
+def mean_task_rank(subsets: list[SubsetScores], system: str) -> float:
+    """Average of the system's per-subset ranks; requires full coverage."""
+    ranks = [subset_ranks(subset)[system] for subset in _covering(subsets, system)]
     return float(np.mean(ranks))
 
 
 def uplift_rate(subsets: list[SubsetScores], system: str) -> float:
     """Fraction of subsets where the system matches the subset maximum."""
-    if not subsets:
-        raise ValueError("need at least one subset")
-    wins = 0
-    for subset in subsets:
-        if system not in subset.scores:
-            raise DataFormatError(f"system {system!r} missing from subset {subset.subset_name!r}")
-        if subset.scores[system] == max(subset.scores.values()):
-            wins += 1
+    wins = sum(subset.scores[system] == max(subset.scores.values())
+               for subset in _covering(subsets, system))
     return wins / len(subsets)
 
 
@@ -118,15 +116,14 @@ def build_eval_report(subsets: list[SubsetScores]) -> EvalReport:
 # routing accuracy and system comparison on oracle-labelled datasets
 # ---------------------------------------------------------------------------
 
-def _oracle_choice(query: Query, oracle: Mapping[str, np.ndarray],
-                   registry: ModelRegistry) -> str:
-    if query.id not in oracle:
-        raise DataFormatError(f"oracle has no entry for query {query.id!r}")
-    return oracle_select(query, oracle[query.id], registry)
-
-
-def _texts(dataset: RewardDataset) -> list[str]:
-    return [row.query.text for row in dataset.rows]
+def _oracle_ids(dataset: RewardDataset, oracle: Mapping[str, np.ndarray]) -> list[str]:
+    """The oracle-best model id of every row, in row order."""
+    ids = []
+    for row in dataset.rows:
+        if row.query.id not in oracle:
+            raise DataFormatError(f"oracle has no entry for query {row.query.id!r}")
+        ids.append(oracle_select(row.query, oracle[row.query.id], dataset.registry))
+    return ids
 
 
 def _routed_ids(registry: ModelRegistry, probs: np.ndarray) -> list[str]:
@@ -134,15 +131,17 @@ def _routed_ids(registry: ModelRegistry, probs: np.ndarray) -> list[str]:
     return [registry.ids[i] for i in np.argmax(probs, axis=1)]
 
 
-def _accuracy(routed: list[str], dataset: RewardDataset,
-              oracle: Mapping[str, np.ndarray]) -> float:
-    if len(dataset) == 0:
+def _router_picks(model: RouterModel, dataset: RewardDataset) -> list[str]:
+    """The router's choice for every row: one featurize, one forward() over the batch."""
+    x = featurize_matrix(model.featurizer_config, [row.query.text for row in dataset.rows])
+    return _routed_ids(model.registry, forward(model, x))
+
+
+def _hit_rate(picks: list[str], oracle_ids: list[str]) -> float:
+    """Share of rows whose pick is the oracle's pick."""
+    if not oracle_ids:
         raise ValueError("cannot evaluate on an empty dataset")
-    hits = sum(
-        chosen == _oracle_choice(row.query, oracle, dataset.registry)
-        for chosen, row in zip(routed, dataset.rows)
-    )
-    return hits / len(dataset)
+    return sum(pick == best for pick, best in zip(picks, oracle_ids)) / len(oracle_ids)
 
 
 def routing_accuracy(
@@ -151,8 +150,7 @@ def routing_accuracy(
     oracle: Mapping[str, np.ndarray],
 ) -> float:
     """Fraction of queries routed to the oracle-best model."""
-    x = featurize_matrix(model.featurizer_config, _texts(dataset))
-    return _accuracy(_routed_ids(model.registry, forward(model, x)), dataset, oracle)
+    return _hit_rate(_router_picks(model, dataset), _oracle_ids(dataset, oracle))
 
 
 def evaluate_systems(
@@ -165,35 +163,28 @@ def evaluate_systems(
 
     Systems compared: "oracle" (always right by construction), each constant
     "single:<model_id>" policy, optionally "router" (a trained model) and,
-    with rmr=True, "rmr" (argmax of each row's recorded rewards). Scores are
-    the fraction of subset queries whose selection matches the oracle
-    choice, which makes the report a desk-scale analog of a cross-benchmark
-    leaderboard.
+    with rmr=True, "rmr" (argmax of each row's recorded rewards). Every
+    system is a list of picks, one per row, and its score on a subset is the
+    fraction of the subset's rows whose pick matches the oracle's, which
+    makes the report a desk-scale analog of a cross-benchmark leaderboard.
     """
-    registry = dataset.registry
-    routed: dict[str, str] = {}
+    oracle_ids = _oracle_ids(dataset, oracle)
+    systems = {"oracle": oracle_ids}
+    for model_id in dataset.registry.ids:
+        systems[f"single:{model_id}"] = [model_id] * len(dataset)
     if model is not None:
-        x = featurize_matrix(model.featurizer_config, _texts(dataset))
-        routed = {row.query.id: chosen
-                  for row, chosen in zip(dataset.rows, _routed_ids(registry, forward(model, x)))}
-    by_subset: dict[str, list] = {}
-    for row in dataset.rows:
-        by_subset.setdefault(row.query.subset or "default", []).append(row)
+        systems["router"] = _router_picks(model, dataset)
+    if rmr:
+        systems["rmr"] = [rmr_choice(row, dataset.registry) for row in dataset.rows]
+    by_subset: dict[str, list[int]] = {}
+    for i, row in enumerate(dataset.rows):
+        by_subset.setdefault(row.query.subset or "default", []).append(i)
 
     subsets = []
-    for name in sorted(by_subset):
-        rows = by_subset[name]
-        oracle_ids = [_oracle_choice(r.query, oracle, registry) for r in rows]
-        scores: dict[str, float] = {"oracle": 1.0}
-        for model_id in registry.ids:
-            share = sum(1 for o in oracle_ids if o == model_id) / len(rows)
-            scores[f"single:{model_id}"] = share
-        if model is not None:
-            hits = sum(routed[r.query.id] == o for r, o in zip(rows, oracle_ids))
-            scores["router"] = hits / len(rows)
-        if rmr:
-            hits = sum(rmr_choice(r, registry) == o for r, o in zip(rows, oracle_ids))
-            scores["rmr"] = hits / len(rows)
+    for name, rows in sorted(by_subset.items()):
+        scores = {}
+        for system, picks in systems.items():
+            scores[system] = _hit_rate([picks[i] for i in rows], [oracle_ids[i] for i in rows])
         subsets.append(SubsetScores(subset_name=name, scores=scores))
     return build_eval_report(subsets)
 
@@ -270,18 +261,19 @@ def beta_ablation(
     model = init_router(dataset.registry, seed=base.seed)
     phases = TrainReport(row_count=len(train_ds))
     mark = time.perf_counter()
-    x_train = featurize_matrix(model.featurizer_config, _texts(train_ds))
-    x_eval = featurize_matrix(model.featurizer_config, _texts(eval_ds))
+    x_train = featurize_matrix(model.featurizer_config, [row.query.text for row in train_ds.rows])
+    x_eval = featurize_matrix(model.featurizer_config, [row.query.text for row in eval_ds.rows])
     featurized = time.perf_counter()
     targets = [build_targets(train_ds, table, b, base.temperature) for b in betas]
     phases.featurize_s = featurized - mark
     phases.targets_s = time.perf_counter() - featurized
     columns, fitted = _fit(model, x_train, targets, base, phases, read=x_eval.indices)
     eval_indices = np.searchsorted(columns, x_eval.indices)  # positions in the fitted weights
+    oracle_ids = _oracle_ids(eval_ds, oracle)
     accuracies = []
     for weights, bias, _ in fitted:
         probs = _gather_forward(weights, bias, x_eval.indptr, eval_indices, x_eval.data)
-        accuracies.append(_accuracy(_routed_ids(dataset.registry, probs), eval_ds, oracle))
+        accuracies.append(_hit_rate(_routed_ids(dataset.registry, probs), oracle_ids))
     phases.wall_seconds = time.perf_counter() - start
     return AblationResult(
         betas=list(betas), accuracies=accuracies,
@@ -321,14 +313,13 @@ def entropy_quality_analysis(
     between entropy and the 0/1 correctness column; a negative value means
     uncertain (high-entropy) reward vectors mis-select more often.
     """
-    if len(dataset) == 0:
+    oracle_ids = _oracle_ids(dataset, oracle)
+    if not oracle_ids:
         raise ValueError("cannot evaluate on an empty dataset")
     pairs: list[tuple[float, bool]] = []
-    for row in dataset.rows:
+    for row, best in zip(dataset.rows, oracle_ids):
         entropy = reward_entropy(normalize_rewards(row.rewards))
-        correct = rmr_choice(row, dataset.registry) == _oracle_choice(
-            row.query, oracle, dataset.registry)
-        pairs.append((entropy, correct))
+        pairs.append((entropy, rmr_choice(row, dataset.registry) == best))
     entropies = np.array([p[0] for p in pairs])
     correctness = np.array([float(p[1]) for p in pairs])
     if np.all(correctness == correctness[0]) or np.all(entropies == entropies[0]):

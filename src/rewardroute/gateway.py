@@ -21,8 +21,9 @@ immediately instead of queuing.
 A /route or /generate request takes one path: read the query, route it
 once, then (for /generate) call the chosen backend. A backend call ends in
 a status string, "ok", "timeout" or "backend_error: <reason>", and a
-backend error, not a timeout, gets one call to the fallback model. The
-status goes into the counters, the route-log record and the reply.
+backend error, not a timeout, gets one call to the fallback model. Both
+calls share one timeout_ms budget, taken at admission. The status goes
+into the counters, the route-log record and the reply.
 
 _HTTPServer, _JSONHandler and _query are shared with the stub backend:
 both servers bind, serve on one thread and stop the same way.
@@ -222,6 +223,12 @@ class _GatewayServer(_HTTPServer):
 MAX_BODY_BYTES = 1 << 20
 
 
+# A backend's error reason goes into the 502 body and the route log with its
+# C0 and DEL control characters dropped and cut to this many characters.
+MAX_REASON_CHARS = 200
+_CONTROL_CHARS = dict.fromkeys([*range(0x20), 0x7F])
+
+
 class _BodyTooLarge(Exception):
     pass
 
@@ -418,8 +425,16 @@ class Gateway:
         finally:
             self.metrics.leave()
 
-    def _call_backend(self, model_id: str, text: str) -> tuple[str | None, str]:
-        """(text, "ok"), (None, "timeout") or (None, "backend_error: <reason>")."""
+    def _call_backend(self, model_id: str, text: str,
+                      deadline: float) -> tuple[str | None, str]:
+        """(text, "ok"), (None, "timeout") or (None, "backend_error: <reason>").
+
+        The call gets the time left until `deadline` (a perf_counter()
+        reading); with none left it is not made and ends as a timeout.
+        """
+        remaining = deadline - time.perf_counter()
+        if remaining <= 0:
+            return None, "timeout"
         # UTF-8 with nothing escaped: the forwarded body is never larger than
         # the body the gateway accepted, so it fits the backend's cap too.
         req = urllib.request.Request(
@@ -430,12 +445,14 @@ class Gateway:
             method="POST",
         )
         try:
-            with urllib.request.urlopen(req, timeout=self.config.timeout_ms / 1000.0) as resp:
+            with urllib.request.urlopen(req, timeout=remaining) as resp:
                 payload = json.loads(resp.read().decode("utf-8"))
         except (urllib.error.URLError, OSError, ValueError, http.client.HTTPException) as exc:
             reason = exc.reason if isinstance(exc, urllib.error.URLError) else exc
             if isinstance(reason, TimeoutError):    # socket.timeout is TimeoutError
                 return None, "timeout"
+            # The reason is backend text: keep it one short printable line.
+            reason = str(reason).translate(_CONTROL_CHARS).strip()[:MAX_REASON_CHARS]
             return None, f"backend_error: {reason}"
         if not isinstance(payload, dict) or "text" not in payload:
             return None, "backend_error: backend response has no 'text' field"
@@ -445,11 +462,13 @@ class Gateway:
                   started: float) -> tuple[int, dict]:
         request_id = uuid.uuid4().hex
         served_by = model_id
-        response_text, status = self._call_backend(model_id, text)
+        # One timeout_ms budget from admission: the fallback gets what the primary left.
+        deadline = started + self.config.timeout_ms / 1000.0
+        response_text, status = self._call_backend(model_id, text, deadline)
         fallback = self.config.fallback_model_id
         # A slow query is not retried on a second backend; a failed one is, once.
         if response_text is None and status != "timeout" and fallback not in (None, model_id):
-            fallback_text, fallback_status = self._call_backend(fallback, text)
+            fallback_text, fallback_status = self._call_backend(fallback, text, deadline)
             if fallback_text is not None:
                 response_text, served_by, status = fallback_text, fallback, fallback_status
         failover = served_by != model_id

@@ -154,8 +154,9 @@ def test_checkpoint_with_endpoints_in_its_registry_loads_and_routes_identically(
     lambda header: {k: v for k, v in header.items() if k != "featurizer"},
     lambda header: list(header.items()),
     lambda header: {**header, "registry": header["registry"][:2]},
+    lambda header: {**header, "registry": [{"model_id": 5}, *header["registry"][1:]]},
 ], ids=["registry-entry-without-model-id", "no-featurizer", "header-is-a-list",
-        "registry-shorter-than-num-models"])
+        "registry-shorter-than-num-models", "registry-model-id-not-a-string"])
 def test_malformed_header_is_a_checkpoint_error(malform, tmp_path, capsys):
     """A header whose checksum holds but whose fields do not is refused as data."""
     from rewardroute.cli import EXIT_DATA, main

@@ -19,6 +19,7 @@ from rewardroute import (
     holdout_split,
     init_router,
     make_synthetic_benchmark,
+    route,
     routing_accuracy,
     train,
 )
@@ -126,6 +127,46 @@ def test_router_system_appears_when_model_given(tiny_benchmark, tiny_model):
     report = evaluate_systems(dataset, oracle, model=tiny_model)
     assert "router" in report.mtr
     assert "rmr" not in report.mtr
+
+
+@pytest.mark.parametrize("trained", [True, False], ids=["trained", "untrained"])
+def test_subset_scores_match_a_brute_force_count(tiny_benchmark, tiny_model, trained):
+    dataset, oracle = tiny_benchmark
+    ids = dataset.registry.ids
+    # The trained router is right on every row; the untrained one is not.
+    model = tiny_model if trained else init_router(dataset.registry, seed=5)
+    systems = ["oracle", *(f"single:{m}" for m in ids), "router", "rmr"]
+    hits, sizes = {}, {}
+    for row in dataset.rows:
+        best = ids[int(np.argmax(oracle[row.query.id]))]
+        picks = [best, *ids, route(model, row.query.text)[0],
+                 ids[int(np.argmax(row.rewards))]]
+        name = row.query.subset
+        sizes[name] = sizes.get(name, 0) + 1
+        counts = hits.setdefault(name, dict.fromkeys(systems, 0))
+        for system, pick in zip(systems, picks):
+            counts[system] += pick == best
+    expected = []
+    for name in sorted(hits):
+        scores = {system: hits[name][system] / sizes[name] for system in systems}
+        expected.append(SubsetScores(name, scores))
+
+    report = evaluate_systems(dataset, oracle, model=model, rmr=True)
+    assert report.subsets == expected
+    assert [list(subset.scores) for subset in report.subsets] == [systems] * len(expected)
+
+
+def test_router_picks_are_read_through_its_own_registry(tiny_benchmark, tiny_model):
+    # A dataset may list the router's models in another order than its checkpoint.
+    dataset, oracle = tiny_benchmark
+    flipped = RewardDataset(ModelRegistry(dataset.registry.ids[::-1]),
+                            [replace(row, rewards=row.rewards[::-1]) for row in dataset.rows])
+    flipped_oracle = {qid: scores[::-1] for qid, scores in oracle.items()}
+
+    def router_scores(ds, truth):
+        return [sub.scores["router"] for sub in evaluate_systems(ds, truth, tiny_model).subsets]
+
+    assert router_scores(flipped, flipped_oracle) == router_scores(dataset, oracle)
 
 
 def _one_row_subsets(rows):

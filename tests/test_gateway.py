@@ -483,6 +483,49 @@ def test_backend_reply_that_is_not_http_is_a_backend_error(gw_env, ckpt, raw_bac
     assert gw.metrics.snapshot()["errors"] == {"failover": 1}
 
 
+@pytest.mark.parametrize("status_line, reason", [
+    (b"HTTP/1.0 500 \x1b[31m" + b"x" * 59995, "[31m" + "x" * 196),
+    (b"garbage", "garbage"),
+], ids=["60000-byte-reason-phrase", "not-http"])
+def test_backend_reason_is_one_short_printable_line(
+        gw_env, ckpt, tmp_path, raw_backend, status_line, reason):
+    model = load_checkpoint(ckpt)
+    backend = raw_backend(status_line + b"\r\nContent-Length: 0\r\n\r\n")
+    log_path = tmp_path / "routes.jsonl"
+    gw = gw_env.gateway(endpoints={m: backend for m in model.registry.ids},
+                        route_log_path=str(log_path))
+
+    status, body = _post(gw.url + "/generate", {"query": "basil thyme sage mint"})
+    assert (status, body["error"]) == (502, "backend_error: " + reason)
+    line = log_path.read_text()
+    assert json.loads(line)["status"] == body["error"]
+    assert len(line) < 1000
+
+
+def test_fallback_gets_only_the_time_the_primary_left(gw_env, ckpt, tmp_path):
+    model = load_checkpoint(ckpt)
+    query = "tide moon shore ebb"
+    primary, _ = route(model, query)
+    fallback = next(m for m in model.registry.ids if m != primary)
+    gw_env.backends[primary].fail = True
+    gw_env.backends[primary].delay_ms = 450    # fails after 450 ms of the 600 ms budget
+    gw_env.backends[fallback].delay_ms = 450   # would answer 450 ms after that
+    log_path = tmp_path / "routes.jsonl"
+    gw = gw_env.gateway(timeout_ms=600, fallback_model_id=fallback,
+                        route_log_path=str(log_path))
+
+    status, body = _post(gw.url + "/generate", {"query": query})
+    record = json.loads(log_path.read_text())
+    assert status == 502
+    assert body["error"] == record["status"] == "backend_error: Internal Server Error"
+    assert (body["model_id"], record["served_by"], record["failover"]) == (primary, primary, False)
+    assert gw_env.backends[fallback].hits == 1
+    assert gw.metrics.snapshot()["errors"] == {"backend": 1}
+    # A call with no time left is not made.
+    assert gw._call_backend(fallback, query, time.perf_counter()) == (None, "timeout")
+    assert gw_env.backends[fallback].hits == 1
+
+
 def test_metrics_counters_are_monotone(gw_env):
     gw = gw_env.gateway()
     seen = []

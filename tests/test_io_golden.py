@@ -2,7 +2,9 @@
 
 The sha256 digests below were recorded before dataset, oracle, report and
 result files shared one JSON-lines writer and one reader; every file must
-still come out with the same bytes.
+still come out with the same bytes. The checkpoint and the eval run that
+reads it were recorded before evaluation scored every routing policy as
+one list of picks per row.
 """
 
 import hashlib
@@ -26,6 +28,8 @@ DIGESTS = {
     "tag.jsonl": "1f394dd006f1d1cd84e7c57f6f54b74a629da789d23f6f4f2c289c040b7e4feb",
     "eval.jsonl": "a2a17aa48fcf34f6ac6522475e9d2e1648ba29dcaa51607b620423c0ecf53316",
     "ablate.jsonl": "c65b5fd947ea00cd24b8ee775f3d14b8ec25a919748d91994d7d0c1ae841e1e8",
+    "router.ckpt": "e589d78bff1810d4b4feaef985cb705fdf9a68ee0a8589cd2cf181aad79f3789",
+    "eval_checkpoint.jsonl": "be807d041bc175caec6977bddbef8b99162e613650e252c488be938cd5270259",
 }
 
 
@@ -77,6 +81,20 @@ def test_eval_rmr_out(synth_dir, tmp_path, capsys):
          "--out", str(tmp_path / "eval.jsonl"))
     capsys.readouterr()
     assert _digest(tmp_path / "eval.jsonl") == DIGESTS["eval.jsonl"]
+
+
+def test_train_then_eval_rmr_with_checkpoint_out(synth_dir, tmp_path, capsys):
+    # After one epoch the router is below the oracle on some subsets, not all.
+    data, registry = str(synth_dir / "synth.jsonl"), str(synth_dir / "registry.json")
+    _run("train", "--data", data, "--registry", registry, "--epochs", "1",
+         "--dimension", "4096", "--out", str(tmp_path / "router.ckpt"))
+    _run("eval", "--data", data, "--registry", registry,
+         "--oracle", str(synth_dir / "oracle.jsonl"), "--rmr",
+         "--checkpoint", str(tmp_path / "router.ckpt"),
+         "--out", str(tmp_path / "eval_checkpoint.jsonl"))
+    capsys.readouterr()
+    for name in ("router.ckpt", "eval_checkpoint.jsonl"):
+        assert _digest(tmp_path / name) == DIGESTS[name]
 
 
 def test_ablate_out(tmp_path, capsys):
