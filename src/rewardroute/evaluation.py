@@ -103,9 +103,8 @@ class EvalReport:
 
 
 def build_eval_report(subsets: list[SubsetScores]) -> EvalReport:
-    systems = set()
-    for subset in subsets:
-        systems |= set(subset.scores)
+    # First-seen order, so the report's key order never follows PYTHONHASHSEED.
+    systems = dict.fromkeys(s for subset in subsets for s in subset.scores)
     mtr = {s: mean_task_rank(subsets, s) for s in systems}
     uplift = {s: uplift_rate(subsets, s) for s in systems}
     rank_table = {sub.subset_name: subset_ranks(sub) for sub in subsets}

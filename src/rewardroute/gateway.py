@@ -23,7 +23,10 @@ once, then (for /generate) call the chosen backend. A backend call ends in
 a status string, "ok", "timeout" or "backend_error: <reason>", and a
 backend error, not a timeout, gets one call to the fallback model. Both
 calls share one timeout_ms budget, taken at admission. The status goes
-into the counters, the route-log record and the reply.
+into the counters, the route-log record and the reply. Each call is one
+HTTP/1.1 POST on a new connection to the endpoint's host and port, checked
+once at start: no proxy is consulted, a 3xx is a backend error and is never
+followed, and a reply over MAX_BODY_BYTES is a backend error.
 
 _HTTPServer, _JSONHandler and _query are shared with the stub backend:
 both servers bind, serve on one thread and stop the same way.
@@ -38,13 +41,12 @@ import logging
 import sys
 import threading
 import time
-import urllib.error
-import urllib.request
 import uuid
 from collections import deque
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from urllib.parse import urlsplit
 
 import numpy as np
 
@@ -229,6 +231,23 @@ MAX_REASON_CHARS = 200
 _CONTROL_CHARS = dict.fromkeys([*range(0x20), 0x7F])
 
 
+def _backend_error(reason: object) -> str:
+    """The status of a failed backend call; the reason is backend text, so one short line."""
+    return "backend_error: " + str(reason).translate(_CONTROL_CHARS).strip()[:MAX_REASON_CHARS]
+
+
+def _backend_target(model_id: str, url: str) -> tuple[str, int, str]:
+    """(host, port, request target) of an http://host[:port][/path][?query] endpoint."""
+    parts = urlsplit(url)
+    try:
+        if parts.scheme == "http" and parts.hostname and parts.port != 0:
+            target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+            return parts.hostname, parts.port or 80, target
+    except ValueError:      # a port that is not a number or is outside 0..65535
+        pass
+    raise GatewayError(f"model {model_id!r}: endpoint {url!r} is not an http://host[:port] URL")
+
+
 class _BodyTooLarge(Exception):
     pass
 
@@ -302,6 +321,7 @@ class Gateway:
 
     def __init__(self, config: GatewayConfig):
         self.config = config
+        self._backends = {m: _backend_target(m, url) for m, url in config.endpoints.items()}
         self.model = self._load_and_check(config.checkpoint_path)
         self.metrics = Metrics()
         self._log_lock = threading.Lock()
@@ -435,25 +455,28 @@ class Gateway:
         remaining = deadline - time.perf_counter()
         if remaining <= 0:
             return None, "timeout"
+        host, port, target = self._backends[model_id]
         # UTF-8 with nothing escaped: the forwarded body is never larger than
         # the body the gateway accepted, so it fits the backend's cap too.
-        req = urllib.request.Request(
-            self.config.endpoints[model_id],
-            data=json.dumps({"query": text}, ensure_ascii=False,
-                            separators=(",", ":")).encode("utf-8"),
-            headers={"Content-Type": "application/json"},
-            method="POST",
-        )
+        body = json.dumps({"query": text}, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+        conn = http.client.HTTPConnection(host, port, timeout=remaining)
         try:
-            with urllib.request.urlopen(req, timeout=remaining) as resp:
-                payload = json.loads(resp.read().decode("utf-8"))
-        except (urllib.error.URLError, OSError, ValueError, http.client.HTTPException) as exc:
-            reason = exc.reason if isinstance(exc, urllib.error.URLError) else exc
-            if isinstance(reason, TimeoutError):    # socket.timeout is TimeoutError
-                return None, "timeout"
-            # The reason is backend text: keep it one short printable line.
-            reason = str(reason).translate(_CONTROL_CHARS).strip()[:MAX_REASON_CHARS]
-            return None, f"backend_error: {reason}"
+            conn.request("POST", target, body,
+                         {"Content-Type": "application/json", "Connection": "close"})
+            resp = conn.getresponse()
+            # A 3xx is an error like any other: a redirect is never followed.
+            if not 200 <= resp.status < 300:
+                return None, _backend_error(resp.reason)
+            raw = resp.read(MAX_BODY_BYTES + 1)
+            if len(raw) > MAX_BODY_BYTES:
+                return None, f"backend_error: reply over {MAX_BODY_BYTES} bytes"
+            payload = json.loads(raw.decode("utf-8"))
+        except TimeoutError:    # socket.timeout is TimeoutError
+            return None, "timeout"
+        except (OSError, ValueError, http.client.HTTPException) as exc:
+            return None, _backend_error(exc)
+        finally:
+            conn.close()
         if not isinstance(payload, dict) or "text" not in payload:
             return None, "backend_error: backend response has no 'text' field"
         return str(payload["text"]), "ok"

@@ -39,21 +39,19 @@ def normalize_rewards(rewards: np.ndarray, temperature: float = 1.0) -> np.ndarr
     return e / e.sum()
 
 
-def check_distribution(probs: np.ndarray, atol: float = DISTRIBUTION_ATOL) -> np.ndarray:
-    """Validate a probability vector; returns it as float64."""
+def reward_entropy(probs: np.ndarray) -> float:
+    """Shannon entropy of a routing distribution in nats, with 0*ln(0) = 0.
+
+    `probs` must be 1-D, with entries in [0, 1] that sum to 1 within
+    DISTRIBUTION_ATOL; anything else is a ValueError.
+    """
     p = np.asarray(probs, dtype=np.float64)
     if p.ndim != 1:
         raise ValueError("distribution must be 1-D")
     if np.any(p < 0) or np.any(p > 1):
         raise ValueError("distribution entries must lie in [0, 1]")
-    if abs(p.sum() - 1.0) > atol:
+    if abs(p.sum() - 1.0) > DISTRIBUTION_ATOL:
         raise ValueError(f"distribution sums to {p.sum()!r}, expected 1")
-    return p
-
-
-def reward_entropy(probs: np.ndarray) -> float:
-    """Shannon entropy of a routing distribution in nats, with 0*ln(0) = 0."""
-    p = check_distribution(probs)
     nz = p[p > 0]
     return float(-(nz * np.log(nz)).sum())
 

@@ -262,6 +262,23 @@ def test_serve_on_a_port_out_of_range_exits_runtime_error(tmp_path, ckpt, capsys
     assert "port" in err
 
 
+@pytest.mark.parametrize("endpoint", ["https://127.0.0.1:9/", "localhost:9001"])
+def test_serve_with_an_endpoint_that_is_not_an_http_url_exits_runtime_error(
+        tmp_path, ckpt, capsys, monkeypatch, endpoint):
+    from rewardroute.gateway import Gateway
+
+    # Were the endpoint accepted, serve would return at once instead of serving on.
+    monkeypatch.setattr(Gateway, "serve_forever", Gateway.shutdown)
+    config = _serve_config(tmp_path, ckpt, 0)
+    registry = tmp_path / "registry.json"
+    registry.write_text(registry.read_text(encoding="utf-8").replace(
+        "http://127.0.0.1:1/", endpoint, 1), encoding="utf-8")
+    code = main(["serve", "--config", config])
+    err = capsys.readouterr().err
+    assert code == EXIT_RUNTIME
+    assert err.startswith("error: model 'mathsolver': endpoint") and len(err.splitlines()) == 1
+
+
 def test_serving_does_not_import_scipy_stats():
     # scipy.stats is most of the CLI's import time and serving never uses it
     src = str(Path(__file__).resolve().parent.parent / "src")

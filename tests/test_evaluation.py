@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -154,6 +155,38 @@ def test_subset_scores_match_a_brute_force_count(tiny_benchmark, tiny_model, tra
     report = evaluate_systems(dataset, oracle, model=model, rmr=True)
     assert report.subsets == expected
     assert [list(subset.scores) for subset in report.subsets] == [systems] * len(expected)
+
+
+_REPORT_ORDER_SCRIPT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from conftest import TINY_SPEC
+from rewardroute import evaluate_systems, init_router, make_synthetic_benchmark
+dataset, oracle = make_synthetic_benchmark(TINY_SPEC)
+report = evaluate_systems(dataset, oracle, init_router(dataset.registry, seed=5), rmr=True)
+print(json.dumps([list(report.mtr), list(report.uplift), list(report.subsets[0].scores)]))
+"""
+
+
+def test_report_key_order_does_not_follow_the_hash_seed():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import rewardroute
+
+    orders = []
+    for seed in ("0", "1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": str(Path(rewardroute.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", _REPORT_ORDER_SCRIPT,
+                              str(Path(__file__).parent)],
+                             env=env, capture_output=True, text=True, check=True).stdout
+        mtr, uplift, scores = json.loads(out)
+        assert mtr == uplift == scores
+        orders.append(mtr)
+    assert orders == [["oracle", "single:m0", "single:m1", "single:m2", "router", "rmr"]] * 3
 
 
 def test_router_picks_are_read_through_its_own_registry(tiny_benchmark, tiny_model):

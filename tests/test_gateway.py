@@ -1,11 +1,17 @@
+import ast
 import json
+import os
+import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -502,6 +508,70 @@ def test_backend_reason_is_one_short_printable_line(
     assert len(line) < 1000
 
 
+def test_backend_reply_over_the_body_cap_is_a_backend_error(gw_env, ckpt, tmp_path, raw_backend):
+    from rewardroute.gateway import MAX_BODY_BYTES
+
+    model = load_checkpoint(ckpt)
+    body = json.dumps({"text": "x" * (2 << 20)}).encode()
+    backend = raw_backend(b"HTTP/1.0 200 OK\r\nContent-Length: %d\r\n\r\n" % len(body) + body)
+    log_path = tmp_path / "routes.jsonl"
+    gw = gw_env.gateway(endpoints={m: backend for m in model.registry.ids},
+                        route_log_path=str(log_path))
+
+    status, reply = _post(gw.url + "/generate", {"query": "basil thyme sage mint"})
+    assert (status, reply["error"]) == (502, f"backend_error: reply over {MAX_BODY_BYTES} bytes")
+    line = log_path.read_text()
+    assert json.loads(line)["status"] == reply["error"]
+    assert len(line) < 1000
+    assert gw.metrics.snapshot()["errors"] == {"backend": 1}
+
+
+class _CountingHandler(BaseHTTPRequestHandler):
+    """Counts every request its server gets and answers each with a backend-shaped 200."""
+
+    def _answer(self):
+        self.server.requests += 1
+        body = b'{"text": "from a host outside the registry"}'
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    do_GET = do_POST = _answer
+
+    def log_message(self, *args):
+        pass
+
+
+def test_backend_redirect_is_a_backend_error_and_is_not_followed(gw_env, ckpt, raw_backend):
+    model = load_checkpoint(ckpt)
+    query = "basil thyme sage mint"
+    primary, _ = route(model, query)
+    fallback = next(m for m in model.registry.ids if m != primary)
+    elsewhere = ThreadingHTTPServer(("127.0.0.1", 0), _CountingHandler)
+    elsewhere.requests = 0
+    threading.Thread(target=elsewhere.serve_forever, daemon=True).start()
+    try:
+        location = f"http://127.0.0.1:{elsewhere.server_address[1]}/elsewhere"
+        endpoints = {**gw_env.endpoints(), primary: raw_backend(
+            b"HTTP/1.0 302 Found\r\nLocation: %s\r\nContent-Length: 0\r\n\r\n"
+            % location.encode())}
+
+        gw = gw_env.gateway(endpoints=endpoints)
+        status, body = _post(gw.url + "/generate", {"query": query})
+        assert (status, body["error"]) == (502, "backend_error: Found")
+        assert gw.metrics.snapshot()["errors"] == {"backend": 1}
+
+        gw = gw_env.gateway(endpoints=endpoints, fallback_model_id=fallback)
+        status, body = _post(gw.url + "/generate", {"query": query})
+        assert (status, body["model_id"]) == (200, fallback)
+        assert gw_env.backends[fallback].hits == 1
+        assert elsewhere.requests == 0
+    finally:
+        elsewhere.shutdown()
+        elsewhere.server_close()
+
+
 def test_fallback_gets_only_the_time_the_primary_left(gw_env, ckpt, tmp_path):
     model = load_checkpoint(ckpt)
     query = "tide moon shore ebb"
@@ -636,6 +706,20 @@ def test_startup_rejects_unknown_fallback(gw_env):
         gw_env.gateway(fallback_model_id="never-heard-of-it")
 
 
+@pytest.mark.parametrize("endpoint", [
+    "https://127.0.0.1:9/",
+    "file:///etc/hosts",
+    "ftp://h/",
+    "localhost:9001",
+    "http://:9001/",
+    "http://h:port/",
+    "http://h:70000/",
+])
+def test_startup_rejects_an_endpoint_that_is_not_an_http_url(gw_env, endpoint):
+    with pytest.raises(GatewayError, match=r"model 'm1': endpoint .* is not an http://"):
+        gw_env.gateway(endpoints={**gw_env.endpoints(), "m1": endpoint})
+
+
 def test_concurrent_generates_all_succeed_and_match_offline(gw_env, ckpt, tiny_benchmark):
     gw = gw_env.gateway()
     model = load_checkpoint(ckpt)
@@ -740,3 +824,69 @@ def test_latency_window_keeps_only_recent_requests():
         for _ in range(LATENCY_WINDOW):
             metrics.record_latency(ms)
     assert metrics.snapshot()["latency_ms_p95"] == 1.0
+
+
+def test_backend_calls_do_not_go_through_a_proxy(gw_env, ckpt, tmp_path):
+    # In a subprocess: urllib reads the proxy variables once per process, so
+    # an in-process gateway could miss them.
+    _write_registry(tmp_path / "registry.json", gw_env.endpoints())
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    (tmp_path / "gateway.json").write_text(json.dumps({
+        "checkpoint": ckpt, "registry": "registry.json", "port": port,
+    }), encoding="utf-8")
+    env = {k: v for k, v in os.environ.items() if k.lower() != "no_proxy"}
+    env.update(http_proxy="http://127.0.0.1:9", HTTP_PROXY="http://127.0.0.1:9")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "rewardroute.cli", "serve",
+         "--config", str(tmp_path / "gateway.json")],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    url = f"http://127.0.0.1:{port}"
+    try:
+        deadline = time.monotonic() + 10.0
+        while proc.poll() is None and time.monotonic() < deadline:
+            try:
+                _get(url + "/healthz", timeout=1.0)
+                break
+            except OSError:
+                time.sleep(0.05)
+        status, body = _post(url + "/generate", {"query": "tide moon shore"})
+    finally:
+        proc.send_signal(signal.SIGINT)
+        try:
+            proc.wait(timeout=10.0)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+    assert status == 200
+    assert sum(b.hits for b in gw_env.backends.values()) == 1
+
+
+URLLIB_CLIENT = {"urllib.request", "urllib.error"}
+
+
+def _urllib_client_imports(tree: ast.AST) -> list[str]:
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name in URLLIB_CLIENT]
+        elif isinstance(node, ast.ImportFrom) and node.module in ("urllib", *URLLIB_CLIENT):
+            found += [node.module + "." + a.name for a in node.names
+                      if node.module != "urllib" or f"urllib.{a.name}" in URLLIB_CLIENT]
+    return found
+
+
+def test_no_module_calls_backends_through_urllib():
+    import rewardroute
+
+    modules = sorted(Path(rewardroute.__file__).parent.glob("*.py"))
+    assert len(modules) > 5
+    offending = [(path.name, name) for path in modules
+                 for name in _urllib_client_imports(ast.parse(path.read_text(encoding="utf-8")))]
+    assert offending == []
+    tree = ast.parse("import urllib.request\nfrom urllib import error, parse\n"
+                     "from urllib.request import urlopen\nimport urllib.parse\n")
+    assert _urllib_client_imports(tree) == [
+        "urllib.request", "urllib.error", "urllib.request.urlopen"]

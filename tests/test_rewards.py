@@ -90,6 +90,16 @@ def test_entropy_bounds_random():
         assert 0.0 <= h <= math.log(k) + 1e-12
 
 
+@pytest.mark.parametrize("probs, message", [
+    (np.full((2, 2), 0.25), "distribution must be 1-D"),
+    (np.array([1.5, -0.5]), r"distribution entries must lie in \[0, 1\]"),
+    (np.array([0.5, 0.25, 0.25 + 1e-6]), r"distribution sums to \S*1\.000001\S*, expected 1"),
+], ids=["not-1d", "entry-outside-unit-interval", "sum-not-1"])
+def test_entropy_rejects_what_is_not_a_distribution(probs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        reward_entropy(probs)
+
+
 def _group_mean_oracle(rows):
     """Independent group-by-mean over (tags, rewards) pairs."""
     sums, counts = {}, {}
