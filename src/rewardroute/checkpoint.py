@@ -61,14 +61,16 @@ def deserialize_model(blob: bytes) -> RouterModel:
             f"unsupported checkpoint format version {version}, "
             f"this build reads version {FORMAT_VERSION}"
         )
-    payload, digest = blob[8:-_DIGEST_SIZE], blob[-_DIGEST_SIZE:]
+    # A view, so the payload, the parameter block and the weights' slice are
+    # not copies of the file; only the weights and bias get their own memory.
+    payload, digest = memoryview(blob)[8:-_DIGEST_SIZE], blob[-_DIGEST_SIZE:]
     if hashlib.sha256(payload).digest() != digest:
         raise CheckpointError("checksum mismatch: checkpoint is corrupt or truncated")
     (header_len,) = struct.unpack("<I", payload[:4])
     if len(payload) < 4 + header_len:
         raise CheckpointError("checkpoint header extends past end of file")
     try:
-        header = json.loads(payload[4:4 + header_len].decode("utf-8"))
+        header = json.loads(bytes(payload[4:4 + header_len]).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"checkpoint header is not valid JSON: {exc}") from exc
     # A valid checksum does not make the header well formed: a missing or

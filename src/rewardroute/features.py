@@ -31,9 +31,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
@@ -242,6 +245,7 @@ def featurize_matrix(config: FeaturizerConfig, texts: list[str]) -> sparse.csr_m
     indices per row. Empty (or whitespace-only) text yields an all-zero row.
     A row does not depend on the other texts of the batch.
     """
+    from scipy import sparse  # here, not at the top: serving builds no CSR matrix
     lengths, cols, data = (np.concatenate(parts) for parts in zip(*_hashed_chunks(config, texts)))
     indptr = np.concatenate(([0], np.cumsum(lengths)))
     # scipy stores int32 indices whenever the shape and nnz fit; handing it

@@ -51,7 +51,7 @@ def reward_entropy(probs: np.ndarray) -> float:
     if np.any(p < 0) or np.any(p > 1):
         raise ValueError("distribution entries must lie in [0, 1]")
     if abs(p.sum() - 1.0) > DISTRIBUTION_ATOL:
-        raise ValueError(f"distribution sums to {p.sum()!r}, expected 1")
+        raise ValueError(f"distribution sums to {float(p.sum())!r}, expected 1")
     nz = p[p > 0]
     return float(-(nz * np.log(nz)).sum())
 

@@ -33,14 +33,17 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .data import ModelRegistry, RewardDataset
 from .errors import DivergenceError
 from .features import FeaturizerConfig, _hashed_chunks, featurize_matrix
 from .rewards import TagRewardTable, tag_mean_for_query
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 # Probabilities are clamped here before any log, in loss and gradient alike.
 PROB_CLAMP = 1e-12
@@ -289,6 +292,7 @@ def _fit(
     the C-ordered (K, |columns|) weights over them, the (K,) bias and the
     epoch losses. Adds the descent's and the replay's times to phases.
     """
+    from scipy import sparse  # here, not at the top: serving builds no CSR matrix
     start = time.perf_counter()
     n = x.shape[0]
     if n == 0:

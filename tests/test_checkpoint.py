@@ -1,6 +1,7 @@
 import hashlib
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,6 +106,25 @@ def test_tiny_garbage_file_is_rejected(tmp_path):
 def test_missing_file_is_a_checkpoint_error(tmp_path):
     with pytest.raises(CheckpointError, match="cannot read"):
         load_checkpoint(tmp_path / "absent.ckpt")
+
+
+def test_parse_copies_the_parameters_once():
+    reg = ModelRegistry(tuple(f"m{i}" for i in range(6)))
+    model = init_router(reg, FeaturizerConfig(dimension=2 ** 16), seed=3)
+    blob = serialize_model(model)
+    tracemalloc.start()
+    try:
+        loaded = deserialize_model(blob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The weights' own copy plus RouterModel's K x D isfinite mask is 1.125x;
+    # each bytes slice of the payload or parameter block would add 1x more.
+    assert peak <= 1.5 * model.weights.nbytes, f"peak {peak / model.weights.nbytes:.2f}x"
+    assert loaded.weights.tobytes() == model.weights.tobytes()
+    # Writeable and owning its data: no view keeps the file's bytes alive.
+    assert loaded.weights.flags.writeable and loaded.weights.flags.owndata
+    assert loaded.bias.flags.writeable and loaded.bias.flags.owndata
 
 
 def test_loaded_model_routes_identically(tmp_path):

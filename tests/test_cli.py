@@ -292,6 +292,43 @@ def test_serving_does_not_import_scipy_stats():
     assert proc.stdout.strip() == "False"
 
 
+_SERVE_WITHOUT_SCIPY = """
+import json, sys, urllib.request
+import rewardroute.cli
+from rewardroute import Gateway, GatewayConfig, StubBackend
+
+ckpt, ids = sys.argv[1], sys.argv[2:]
+backends = [StubBackend(m).start() for m in ids]
+gw = Gateway(GatewayConfig(checkpoint_path=ckpt, port=0,
+                           endpoints={m: b.endpoint for m, b in zip(ids, backends)}))
+gw.start()
+statuses = []
+for path, payload in [("/route", {"query": "tide moon shore"}),
+                      ("/generate", {"query": "tide moon shore"}),
+                      ("/admin/reload", {"checkpoint_path": ckpt})]:
+    req = urllib.request.Request(gw.url + path, json.dumps(payload).encode(),
+                                 {"Content-Type": "application/json"})
+    with urllib.request.urlopen(req, timeout=10) as resp:
+        statuses.append(resp.status)
+gw.shutdown()
+for b in backends:
+    b.shutdown()
+print(json.dumps({"statuses": statuses, "scipy": "scipy" in sys.modules}))
+"""
+
+
+def test_serving_does_not_import_scipy(ckpt):
+    # Serving never builds a CSR matrix; scipy.sparse alone is ~16 MiB of the process.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _SERVE_WITHOUT_SCIPY, ckpt, *load_registry(REGISTRY).ids],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout) == {"statuses": [200, 200, 200], "scipy": False}
+
+
 # ---------------------------------------------------------------------------
 # ingest
 # ---------------------------------------------------------------------------

@@ -275,14 +275,14 @@ def test_featurize_matrix_hands_scipy_the_index_dtype_it_stores(monkeypatch):
     # scipy keeps int32 indices when the shape and nnz fit, int64 otherwise;
     # given that dtype up front it has nothing to check or convert.
     seen = []
-    real = features.sparse.csr_matrix
+    real = sparse.csr_matrix
 
     def spy(arg1, shape=None, **kwargs):
         _, indices, indptr = arg1
         seen.append((indices.dtype, indptr.dtype))
         return real(arg1, shape=shape, **kwargs)
 
-    monkeypatch.setattr(features.sparse, "csr_matrix", spy)
+    monkeypatch.setattr(sparse, "csr_matrix", spy)
     narrow = featurize_matrix(FeaturizerConfig(), ["route this query", ""])
     wide = featurize_matrix(FeaturizerConfig(dimension=2 ** 32), ["route this query"])
     assert seen == [(np.int32, np.int32), (np.int64, np.int64)]

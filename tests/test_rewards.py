@@ -100,6 +100,12 @@ def test_entropy_rejects_what_is_not_a_distribution(probs, message):
         reward_entropy(probs)
 
 
+def test_entropy_error_prints_the_sum_as_a_plain_number():
+    with pytest.raises(ValueError) as info:
+        reward_entropy(np.array([0.5, 0.25, 0.25 + 1e-6]))
+    assert str(info.value) == "distribution sums to 1.000001, expected 1"
+
+
 def _group_mean_oracle(rows):
     """Independent group-by-mean over (tags, rewards) pairs."""
     sums, counts = {}, {}
