@@ -11,10 +11,12 @@ is what lets a checkpoint be fully self-describing.
 import numpy as np
 
 from rewardroute import FeaturizerConfig, featurize, featurize_matrix, stable_hash
+from rewardroute.features import CHAR_ORDERS, WORD_ORDERS
 
-config = FeaturizerConfig()  # dimension 65536, word (1,2), char (3,5)
-print(f"dimension {config.dimension}, word grams {config.word_ngram_range}, "
-      f"char grams {config.char_ngram_range}")
+# The recipe is fixed: lowercase, word 1-2-grams, char 3-5-grams. Only the
+# dimension is a setting.
+config = FeaturizerConfig()  # dimension 65536
+print(f"dimension {config.dimension}, word grams {WORD_ORDERS}, char grams {CHAR_ORDERS}")
 
 # ---------------------------------------------------------------------------
 # one query -> one sparse row (a 1 x dimension CSR matrix)
@@ -48,7 +50,7 @@ far = featurize(config, "braise the lamb shanks slowly")
 print(f"\ncosine(near pair) = {cosine(base, near):.3f}")
 print(f"cosine(far pair)  = {cosine(base, far):.3f}")
 
-# Case folds away by default; punctuation still contributes char grams.
+# Case folds away; punctuation still contributes char grams.
 print("case-insensitive:", cosine(featurize(config, "SOLVE IT"),
                                   featurize(config, "solve it")) > 0.999)
 

@@ -37,7 +37,7 @@ samples = [
 for s in samples:
     print(f"{s!r}\n  -> {tokenize(s)}")
 
-a, b = (text_ngrams(s, 6) for s in samples[:2])
+a, b = (text_ngrams(s) for s in samples[:2])
 print(f"\nshared 6-grams between the first two: {len(a & b)} "
       "(case and punctuation fold away)")
 
@@ -67,6 +67,6 @@ print(f"\nkept {len(clean)} rows, removed {[qid for qid, _ in removed]}")
 
 # Five shared tokens are not enough; only a full 6-token window flags.
 near_miss = "write a regex that validates timestamps for logs"
-overlap = any(text_ngrams(near_miss, 6) & text_ngrams(b, 6) for b in benchmarks)
+overlap = any(text_ngrams(near_miss) & text_ngrams(b) for b in benchmarks)
 print(f"\nnear miss {near_miss!r} shares only 5 consecutive tokens -> "
       f"{'flagged' if overlap else 'not flagged'}")

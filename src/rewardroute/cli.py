@@ -161,6 +161,8 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 
 
 def cmd_route(args: argparse.Namespace) -> int:
+    if not args.query.strip():  # /route answers 400 for a blank query too
+        raise DataFormatError("--query is blank, so there is nothing to route")
     try:
         args.query.encode("utf-8")
     except UnicodeEncodeError as exc:  # argv bytes that are not UTF-8 decode to lone surrogates

@@ -189,12 +189,19 @@ def check_strings(value, where: str, name: str) -> list[str]:
 
 
 def to_number(convert: type[int] | type[float], value, where: str, name: str):
-    """convert(value), with a value that does not convert reported as a DataFormatError."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError):
-        kind = "an integer" if convert is int else "a number"
-        raise DataFormatError(f"{where}: {name} must be {kind}, got {value!r}") from None
+    """A JSON integer (convert=int) or a JSON number (convert=float) as that type.
+
+    A bool, a string or a float where an integer is due is a DataFormatError,
+    never coerced; so is an integer too large for a float.
+    """
+    kinds = (int,) if convert is int else (int, float)
+    if isinstance(value, kinds) and not isinstance(value, bool):
+        try:
+            return convert(value)
+        except OverflowError:
+            pass
+    kind = "an integer" if convert is int else "a number"
+    raise DataFormatError(f"{where}: {name} must be {kind}, got {value!r}")
 
 
 def _model_vector(values, registry: ModelRegistry, where: str, field: str,

@@ -1,9 +1,9 @@
 """Word n-gram overlap screening between training queries and benchmark sets.
 
-A training row is dropped when it shares at least one token n-gram (default
-n=6) with any benchmark query. Tokenization: lowercase, split on Unicode
-whitespace, strip leading/trailing punctuation from each token, drop tokens
-that become empty.
+A training row is dropped when it shares at least one window of WINDOW (6)
+consecutive tokens with any benchmark query. Tokenization: lowercase, split
+on Unicode whitespace, strip leading/trailing punctuation from each token,
+drop tokens that become empty.
 """
 
 from __future__ import annotations
@@ -14,6 +14,9 @@ from typing import Iterable, Sequence
 from .data import RewardDataset
 
 NGram = tuple[str, ...]
+
+# Tokens per window; the screen has one window size, not a setting.
+WINDOW = 6
 
 
 def _is_punct(ch: str) -> bool:
@@ -39,35 +42,32 @@ def tokenize(text: str) -> list[str]:
     return tokens
 
 
-def token_ngrams(tokens: Sequence[str], n: int) -> list[NGram]:
-    """All n consecutive-token windows, in text order. Empty if len < n."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return [tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1)]
+def token_ngrams(tokens: Sequence[str]) -> list[NGram]:
+    """All WINDOW consecutive-token windows, in text order. Empty if len < WINDOW."""
+    return [tuple(tokens[i:i + WINDOW]) for i in range(len(tokens) - WINDOW + 1)]
 
 
-def text_ngrams(text: str, n: int) -> set[NGram]:
-    return set(token_ngrams(tokenize(text), n))
+def text_ngrams(text: str) -> set[NGram]:
+    return set(token_ngrams(tokenize(text)))
 
 
 def find_contaminated(
     dataset: RewardDataset,
     benchmark_queries: Iterable[str],
-    n: int = 6,
 ) -> list[tuple[str, NGram]]:
-    """Identify rows sharing a token n-gram with any benchmark query.
+    """Identify rows sharing a token window with any benchmark query.
 
     Returns (query_id, matching n-gram) pairs in dataset order; the reported
     n-gram is the first shared one in the query's token order.
     """
     benchmark_grams: set[NGram] = set()
     for bench in benchmark_queries:
-        benchmark_grams |= text_ngrams(bench, n)
+        benchmark_grams |= text_ngrams(bench)
     hits: list[tuple[str, NGram]] = []
     if not benchmark_grams:
         return hits
     for row in dataset.rows:
-        for gram in token_ngrams(tokenize(row.query.text), n):
+        for gram in token_ngrams(tokenize(row.query.text)):
             if gram in benchmark_grams:
                 hits.append((row.query.id, gram))
                 break
@@ -77,7 +77,6 @@ def find_contaminated(
 def decontaminate(
     dataset: RewardDataset,
     benchmark_queries: Iterable[str],
-    n: int = 6,
 ) -> tuple[RewardDataset, list[tuple[str, NGram]]]:
     """Drop every row overlapping the benchmark set.
 
@@ -85,7 +84,7 @@ def decontaminate(
     (query_id, n-gram) hits for the dropped ones. An empty benchmark list
     removes nothing.
     """
-    hits = find_contaminated(dataset, benchmark_queries, n)
+    hits = find_contaminated(dataset, benchmark_queries)
     removed = {qid for qid, _ in hits}
     kept = dataset.with_rows(row for row in dataset.rows if row.query.id not in removed)
     return kept, hits

@@ -10,7 +10,7 @@ and gives the same hashes as FNV-1a run over each n-gram's UTF-8 bytes. A
 batch is hashed in chunks of about _CHUNK_BYTES of UTF-8, every text of a
 chunk at once:
 
-- Rows: a text is lowercased (by default); a blank (whitespace-only) one
+- Rows: a text is lowercased; a blank (whitespace-only) one
   gives an all-zero row and contributes no units.
 - Char n-grams: the chunk's texts are laid end to end in UTF-8, and a code
   point starts at every byte that is not a continuation byte. Every position
@@ -71,41 +71,33 @@ _CHUNK_BYTES = 2 ** 15
 # _extend steps this many long runs or fewer in Python ints, not numpy passes.
 _TAIL_RUNS = 8
 
+# The one recipe: every non-blank text is lowercased, then hashed into word
+# n-grams of these orders and char n-grams of these orders. Checkpoints
+# record it next to the dimension.
+WORD_ORDERS = (1, 2)
+CHAR_ORDERS = (3, 5)
+
 
 @dataclass(frozen=True)
 class FeaturizerConfig:
     dimension: int = 2 ** 16
-    word_ngram_range: tuple[int, int] = (1, 2)
-    char_ngram_range: tuple[int, int] = (3, 5)
-    lowercase: bool = True
 
     def __post_init__(self):
         if self.dimension < 2:
             raise ValueError(f"dimension must be >= 2, got {self.dimension}")
-        for name, rng in (("word_ngram_range", self.word_ngram_range),
-                          ("char_ngram_range", self.char_ngram_range)):
-            lo, hi = rng
-            if lo < 1 or hi < lo:
-                raise ValueError(f"{name} must satisfy 1 <= lo <= hi, got {rng}")
-        object.__setattr__(self, "word_ngram_range", tuple(self.word_ngram_range))
-        object.__setattr__(self, "char_ngram_range", tuple(self.char_ngram_range))
 
     def to_dict(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "word_ngram_range": list(self.word_ngram_range),
-            "char_ngram_range": list(self.char_ngram_range),
-            "lowercase": self.lowercase,
-        }
+        return {"dimension": self.dimension, "word_ngram_range": list(WORD_ORDERS),
+                "char_ngram_range": list(CHAR_ORDERS), "lowercase": True}
 
     @classmethod
     def from_dict(cls, d: dict) -> "FeaturizerConfig":
-        return cls(
-            dimension=int(d["dimension"]),
-            word_ngram_range=tuple(d["word_ngram_range"]),
-            char_ngram_range=tuple(d["char_ngram_range"]),
-            lowercase=bool(d["lowercase"]),
-        )
+        """The config a checkpoint header stores; a recipe other than this one is a ValueError."""
+        config = cls(dimension=int(d["dimension"]))
+        if {**d, "dimension": config.dimension} != config.to_dict():
+            raise ValueError(f"featurizer {d} is not the recipe this build hashes, "
+                             f"{config.to_dict()}")
+        return config
 
 
 def _extend(h: np.ndarray, data: np.ndarray, first: np.ndarray,
@@ -160,7 +152,7 @@ def _grams(h: np.ndarray, row: np.ndarray, data: np.ndarray, first: np.ndarray,
     return keys
 
 
-def _word_keys(config: FeaturizerConfig, texts: list[str], dim: np.uint64) -> list[np.ndarray]:
+def _word_keys(texts: list[str], dim: np.uint64) -> list[np.ndarray]:
     words = [text.split() for text in texts]
     # Words hold no whitespace, so the only 0x20 bytes of the joined words are
     # the separators, and an n-gram's bytes are one contiguous slice of them.
@@ -173,11 +165,10 @@ def _word_keys(config: FeaturizerConfig, texts: list[str], dim: np.uint64) -> li
     h = _extend(np.full(first.size, FNV_OFFSET, dtype=np.uint64), data, first, width)
     row = np.repeat(np.arange(len(texts), dtype=np.uint64), [len(w) for w in words])
     # Order n > 1 continues over the separating space and the next word.
-    return _grams(h, row, data, first - 1, width + 1, config.word_ngram_range, dim)
+    return _grams(h, row, data, first - 1, width + 1, WORD_ORDERS, dim)
 
 
-def _char_keys(config: FeaturizerConfig, texts: list[str], utf8: bytes,
-               dim: np.uint64) -> list[np.ndarray]:
+def _char_keys(texts: list[str], utf8: bytes, dim: np.uint64) -> list[np.ndarray]:
     data = np.frombuffer(utf8, dtype=np.uint8)
     # A code point starts at every byte that is not a continuation byte 10xxxxxx.
     first = np.flatnonzero((data & 0xC0) != 0x80)
@@ -185,7 +176,7 @@ def _char_keys(config: FeaturizerConfig, texts: list[str], utf8: bytes,
     data = data.astype(np.uint64)
     h = _extend(np.full(first.size, _CHAR_SEED, dtype=np.uint64), data, first, width)
     row = np.repeat(np.arange(len(texts), dtype=np.uint64), [len(text) for text in texts])
-    return _grams(h, row, data, first, width, config.char_ngram_range, dim)
+    return _grams(h, row, data, first, width, CHAR_ORDERS, dim)
 
 
 def _hash_chunk(config: FeaturizerConfig, texts: list[str], utf8: list[bytes],
@@ -194,8 +185,7 @@ def _hash_chunk(config: FeaturizerConfig, texts: list[str], utf8: list[bytes],
     dim = np.uint64(config.dimension)
     keys = [np.empty(0, dtype=np.uint64)]
     if any(texts):  # a blank text has no word and no code point
-        keys += (_word_keys(config, texts, dim)
-                 + _char_keys(config, texts, b"".join(utf8), dim))
+        keys += _word_keys(texts, dim) + _char_keys(texts, b"".join(utf8), dim)
     keys, counts = np.unique(np.concatenate(keys), return_counts=True)
     offsets = np.arange(len(texts) + 1, dtype=np.uint64) * dim
     bounds = np.searchsorted(keys, offsets)
@@ -226,8 +216,7 @@ def _hashed_chunks(config: FeaturizerConfig, texts: list[str]):
     if len(texts) * config.dimension >= 2 ** 64:
         raise ValueError(f"{len(texts)} rows of dimension {config.dimension} "
                          "overflow the uint64 row * dimension + bucket keys")
-    texts = [(text.lower() if config.lowercase else text) if text.strip() else ""
-             for text in texts]
+    texts = [text.lower() if text.strip() else "" for text in texts]
     utf8 = [text.encode("utf-8") for text in texts]
     for lo, hi in _chunks([len(b) for b in utf8]):
         yield _hash_chunk(config, texts[lo:hi], utf8[lo:hi])

@@ -22,14 +22,21 @@ from .data import UNTAGGED, Query, RewardDataset
 DISTRIBUTION_ATOL = 1e-9
 
 
+def check_temperature(temperature: float) -> None:
+    """Raise ValueError unless the softmax temperature is finite and positive."""
+    if not np.isfinite(temperature):
+        raise ValueError(f"temperature must be finite, got {temperature}")
+    if temperature <= 0:
+        raise ValueError(f"temperature must be positive, got {temperature}")
+
+
 def normalize_rewards(rewards: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     """Softmax of rewards/temperature, computed with max-subtraction.
 
     The output sums to 1 and is invariant under adding a constant to all
     rewards. Ties in the input stay ties in the output.
     """
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
+    check_temperature(temperature)
     r = np.asarray(rewards, dtype=np.float64)
     if not np.all(np.isfinite(r)):
         raise ValueError("reward vector has non-finite entries")

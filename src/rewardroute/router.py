@@ -40,7 +40,7 @@ import numpy as np
 from .data import ModelRegistry, RewardDataset
 from .errors import DivergenceError
 from .features import FeaturizerConfig, _hashed_chunks, featurize_matrix
-from .rewards import TagRewardTable, tag_mean_for_query
+from .rewards import TagRewardTable, check_temperature, tag_mean_for_query
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -105,9 +105,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("learning_rate", "temperature", "l2_penalty"):
+        for name in ("learning_rate", "l2_penalty"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        check_temperature(self.temperature)
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if self.epochs < 1:
@@ -116,8 +117,6 @@ class TrainConfig:
             raise ValueError("batch_size must be a positive integer")
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError(f"beta must lie in [0, 1], got {self.beta}")
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
         if self.l2_penalty < 0:
             raise ValueError("l2_penalty must be non-negative")
 
@@ -227,8 +226,7 @@ def build_targets(
     """
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must lie in [0, 1], got {beta}")
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
+    check_temperature(temperature)
     k = len(dataset.registry)
     if len(dataset) == 0:
         return np.empty((0, k), dtype=np.float64)

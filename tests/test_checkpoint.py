@@ -27,12 +27,17 @@ def _model():
     )
 
 
+def _sealed(payload: bytes) -> bytes:
+    """A version-1 checkpoint around this payload, with a valid digest."""
+    return MAGIC + struct.pack("<I", 1) + payload + hashlib.sha256(payload).digest()
+
+
 def _hand_built(header: dict, model) -> bytes:
     """A version-1 checkpoint with this header, the model's parameters and a valid digest."""
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     payload = struct.pack("<I", len(header_bytes)) + header_bytes
     payload += model.weights.astype("<f8").tobytes() + model.bias.astype("<f8").tobytes()
-    return MAGIC + struct.pack("<I", 1) + payload + hashlib.sha256(payload).digest()
+    return _sealed(payload)
 
 
 def test_round_trip_is_bit_exact(tmp_path):
@@ -94,6 +99,19 @@ def test_future_version_is_rejected():
     blob[4:8] = struct.pack("<I", FORMAT_VERSION + 1)
     with pytest.raises(CheckpointError, match="version"):
         deserialize_model(bytes(blob))
+
+
+@pytest.mark.parametrize("rebuild, match", [
+    (lambda payload: struct.pack("<I", len(payload)) + payload[4:],
+     "header extends past end of file"),
+    (lambda payload: struct.pack("<I", 4) + b"{\xff}}" + payload[4:],
+     "header is not valid JSON"),
+    (lambda payload: payload[:-8], r"parameter block has \d+ bytes, expected \d+"),
+], ids=["header-length-past-the-end", "header-not-json", "parameters-8-bytes-short"])
+def test_digest_valid_blob_with_a_broken_layout_is_rejected(rebuild, match):
+    payload = serialize_model(_model())[8:-32]
+    with pytest.raises(CheckpointError, match=match):
+        deserialize_model(_sealed(rebuild(payload)))
 
 
 def test_tiny_garbage_file_is_rejected(tmp_path):
@@ -175,8 +193,11 @@ def test_checkpoint_with_endpoints_in_its_registry_loads_and_routes_identically(
     lambda header: list(header.items()),
     lambda header: {**header, "registry": header["registry"][:2]},
     lambda header: {**header, "registry": [{"model_id": 5}, *header["registry"][1:]]},
+    # a featurizer recipe other than the one this build hashes
+    lambda header: {**header, "featurizer": {**header["featurizer"], "word_ngram_range": [1, 3]}},
 ], ids=["registry-entry-without-model-id", "no-featurizer", "header-is-a-list",
-        "registry-shorter-than-num-models", "registry-model-id-not-a-string"])
+        "registry-shorter-than-num-models", "registry-model-id-not-a-string",
+        "word-orders-1-3"])
 def test_malformed_header_is_a_checkpoint_error(malform, tmp_path, capsys):
     """A header whose checksum holds but whose fields do not is refused as data."""
     from rewardroute.cli import EXIT_DATA, main

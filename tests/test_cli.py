@@ -609,6 +609,17 @@ def test_route_query_without_a_utf8_form_exits_data_error(ckpt, capsys):
     assert lines[0].startswith("error: --query holds a lone surrogate at character 5")
 
 
+@pytest.mark.parametrize("query", ["", "   ", "\t\n"])
+def test_route_blank_query_exits_data_error(ckpt, capsys, query):
+    code = main(["route", "--checkpoint", ckpt, "--query", query])
+    captured = capsys.readouterr()
+    assert code == EXIT_DATA
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0] == "error: --query is blank, so there is nothing to route"
+
+
 # ---------------------------------------------------------------------------
 # serve (subprocess, signal handling)
 # ---------------------------------------------------------------------------

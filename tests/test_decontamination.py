@@ -29,11 +29,11 @@ def test_tokenize_splits_on_unicode_whitespace():
 
 
 def test_text_ngrams_short_text_has_none():
-    assert text_ngrams("one two three four five", 6) == set()
+    assert text_ngrams("one two three four five") == set()
 
 
 def test_text_ngrams_example():
-    grams = text_ngrams("a b c d e f g", 6)
+    grams = text_ngrams("a b c d e f g")
     assert grams == {("a", "b", "c", "d", "e", "f"), ("b", "c", "d", "e", "f", "g")}
 
 

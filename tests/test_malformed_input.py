@@ -85,6 +85,11 @@ CASES = [
          r"line 1: reward entry for model 'a' must be a number"),
     Case("dataset reward null", _row(rewards={"a": None, "b": 0.25}), _load_dataset, _ingest,
          r"line 1: reward entry for model 'a' must be a number"),
+    # Numbers are checked, not coerced: a numeric string or a bool is refused.
+    Case("dataset reward '0.5'", _row(rewards={"a": "0.5", "b": 0.25}), _load_dataset, _ingest,
+         r"line 1: reward entry for model 'a' must be a number, got '0.5'"),
+    Case("dataset reward true", _row(rewards={"a": True, "b": 0.25}), _load_dataset, _ingest,
+         r"line 1: reward entry for model 'a' must be a number, got True"),
     Case("dataset tags 'math'", _row(tags="math"), _load_dataset, _ingest,
          r"line 1: 'tags' must be a list of strings"),
     Case("dataset tags 5", _row(tags=5), _load_dataset, _ingest,
@@ -114,6 +119,22 @@ CASES = [
                                  "port": "abc"})},
          lambda d: GatewayConfig.from_file(d / "gateway.json"), _serve,
          r"gateway\.json: 'port' must be an integer"),
+    Case("gateway config port '8080'",
+         {"gateway.json": _json({"checkpoint": "router.ckpt", "registry": "registry.json",
+                                 "port": "8080"})},
+         lambda d: GatewayConfig.from_file(d / "gateway.json"), _serve,
+         r"gateway\.json: 'port' must be an integer, got '8080'"),
+    Case("gateway config max_in_flight true",
+         {"gateway.json": _json({"checkpoint": "router.ckpt", "registry": "registry.json",
+                                 "max_in_flight": True})},
+         lambda d: GatewayConfig.from_file(d / "gateway.json"), _serve,
+         r"gateway\.json: 'max_in_flight' must be an integer, got True"),
+    Case("spec seed 4.7", {"spec.json": _json({**SPEC, "seed": 4.7})},
+         lambda d: SyntheticSpec.from_file(d / "spec.json"), _synth,
+         r"spec\.json: 'seed' must be an integer, got 4\.7"),
+    Case("spec noise_sigma '0.1'", {"spec.json": _json({**SPEC, "noise_sigma": "0.1"})},
+         lambda d: SyntheticSpec.from_file(d / "spec.json"), _synth,
+         r"spec\.json: 'noise_sigma' must be a number, got '0\.1'"),
     Case("spec cluster 'sum carry'",
          {"spec.json": _json({**SPEC, "clusters": {"arith": "sum carry", "chem": ["acid"]}})},
          lambda d: SyntheticSpec.from_file(d / "spec.json"), _synth,

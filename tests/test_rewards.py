@@ -55,7 +55,7 @@ def test_normalize_temperature_extremes():
     np.testing.assert_allclose(flat, [1 / 3] * 3, atol=1e-2)
 
 
-@pytest.mark.parametrize("bad_t", [0.0, -1.0])
+@pytest.mark.parametrize("bad_t", [0.0, -1.0, np.nan, np.inf])
 def test_normalize_rejects_non_positive_temperature(bad_t):
     with pytest.raises(ValueError):
         normalize_rewards(np.array([1.0, 2.0]), temperature=bad_t)

@@ -204,6 +204,10 @@ def test_build_targets_rejects_what_the_per_row_loop_rejects():
         build_targets(ds, table, 1.5, 1.0)
     with pytest.raises(ValueError, match="temperature must be positive, got 0.0"):
         build_targets(ds, table, 0.3, 0.0)
+    with pytest.raises(ValueError, match="temperature must be finite, got nan"):
+        build_targets(ds, table, 0.3, np.nan)
+    with pytest.raises(ValueError, match="temperature must be finite, got inf"):
+        build_targets(ds, table, 0.3, np.inf)
     broken = TagRewardTable(means={**table.means, "y": np.full(9, np.inf)},
                             counts=table.counts, global_mean=table.global_mean)
     with pytest.raises(ValueError, match="non-finite"):
@@ -313,7 +317,7 @@ def test_l2_step_that_can_grow(lr, l2, nonfinite_epoch):
 
 
 def _featureless_rows(registry, count):
-    """Rows too short for any n-gram of _SPARSE_FEATURIZER: all-zero feature rows."""
+    """Rows that _lockstep_case featurizes as blank text: all-zero feature rows."""
     rng = np.random.default_rng(8)
     texts = ["ox", "an ox", "go", "be it", "so"]
     return [DatasetRow(query=Query(id=f"empty-{i}", text=texts[i % len(texts)],
@@ -322,8 +326,7 @@ def _featureless_rows(registry, count):
             for i in range(count)]
 
 
-_SPARSE_FEATURIZER = FeaturizerConfig(dimension=512, word_ngram_range=(3, 3),
-                                      char_ngram_range=(6, 6))
+_SPARSE_FEATURIZER = FeaturizerConfig(dimension=512)
 
 
 def _lockstep_case(tiny_benchmark, rows):
@@ -333,7 +336,10 @@ def _lockstep_case(tiny_benchmark, rows):
         dataset = dataset.with_rows(list(dataset.rows[:30]) + extra + list(dataset.rows[30:]))
     elif rows == "featureless":
         dataset = dataset.with_rows(_featureless_rows(dataset.registry, 7))
-    x = featurize_matrix(_SPARSE_FEATURIZER, [r.query.text for r in dataset.rows])
+    # A blank text featurizes to a zero row; queries may not be blank, so
+    # the featureless rows' texts are replaced here, not in the dataset.
+    x = featurize_matrix(_SPARSE_FEATURIZER, ["" if r.query.id.startswith("empty-")
+                                              else r.query.text for r in dataset.rows])
     assert (np.diff(x.indptr) == 0).any()
     return dataset, x
 

@@ -31,7 +31,7 @@ from rewardroute import (
 from rewardroute.checkpoint import serialize_model
 from rewardroute.features import FeaturizerConfig
 from rewardroute.fixtures import fixture_path
-from rewardroute.router import _kl_rows, _softmax_rows, kl_objective
+from rewardroute.router import TrainReport, _fit, _kl_rows, _softmax_rows, kl_objective
 
 from conftest import make_dataset
 from test_router import _overfit_dataset
@@ -97,19 +97,22 @@ def test_dimension_with_every_column_touched():
 
 
 def test_rows_without_features_train_the_bias_only():
-    # Queries may not be blank, so these texts are too short for any n-gram
-    # the featurizer extracts: every row is all zeros and no column is touched.
+    # Queries may not be blank, so train() never sees a featureless row;
+    # _fit is given the zero rows that three blank texts featurize to.
     ds = make_dataset([
         ("e1", "ox", ("a",), [1.0, 0.0, 0.5]),
         ("e2", "an ox", ("b",), [0.0, 2.0, 0.0]),
         ("e3", "go", ("a",), [0.3, 0.0, 1.0]),
     ])
-    featurizer = FeaturizerConfig(dimension=512, word_ngram_range=(3, 3),
-                                  char_ngram_range=(6, 6))
-    assert featurize_matrix(featurizer, [r.query.text for r in ds.rows]).nnz == 0
-    digest, report = _train(ds, featurizer, TrainConfig(epochs=7, batch_size=2, seed=4), seed=4)
-    assert digest == "cb952014c9c1ceb842e4daba8a396c0f34265771e97c6a17be8835641a291fb9"
-    assert report.epoch_losses == [
+    featurizer = FeaturizerConfig(dimension=512)
+    x = featurize_matrix(featurizer, ["", "", ""])
+    assert x.nnz == 0
+    config = TrainConfig(epochs=7, batch_size=2, seed=4)
+    model = init_router(ds.registry, featurizer, seed=4)
+    targets = build_targets(ds, aggregate_tag_rewards(ds), config.beta, config.temperature)
+    _, [(_, bias, losses)] = _fit(model, x, [targets], config, TrainReport())
+    assert not np.array_equal(bias, model.bias)
+    assert losses == [
         0.17688670549632135, 0.17419692787135843, 0.17421835328492083,
         0.1741512429555557, 0.17409946543277988, 0.17406060332273152,
         0.17403257532299457,
