@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import registry_entries, registry_from_entries
+from .data import registry_entries, registry_from_entries, to_number
 from .errors import CheckpointError, DataFormatError
 from .features import FeaturizerConfig
 from .router import MODEL_FORMAT_VERSION, RouterModel
@@ -76,8 +76,8 @@ def deserialize_model(blob: bytes) -> RouterModel:
     # A valid checksum does not make the header well formed: a missing or
     # ill-typed field, or shapes that disagree, is still a CheckpointError.
     try:
-        k = int(header["num_models"])
-        d = int(header["dimension"])
+        k = to_number(int, header["num_models"], "checkpoint header", "'num_models'")
+        d = to_number(int, header["dimension"], "checkpoint header", "'dimension'")
         body = payload[4 + header_len:]
         expected = (k * d + k) * 8
         if len(body) != expected:
@@ -91,7 +91,8 @@ def deserialize_model(blob: bytes) -> RouterModel:
             bias=bias,
             featurizer_config=FeaturizerConfig.from_dict(header["featurizer"]),
             registry=registry_from_entries(header["registry"], "checkpoint registry"),
-            version=int(header.get("model_version", MODEL_FORMAT_VERSION)),
+            version=to_number(int, header.get("model_version", MODEL_FORMAT_VERSION),
+                              "checkpoint header", "'model_version'"),
         )
     except (KeyError, TypeError, ValueError, OverflowError, DataFormatError) as exc:
         raise CheckpointError(f"malformed checkpoint ({type(exc).__name__}: {exc})") from exc

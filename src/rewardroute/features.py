@@ -35,6 +35,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .data import to_number
+
 if TYPE_CHECKING:
     from scipy import sparse
 
@@ -92,8 +94,13 @@ class FeaturizerConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FeaturizerConfig":
-        """The config a checkpoint header stores; a recipe other than this one is a ValueError."""
-        config = cls(dimension=int(d["dimension"]))
+        """The config a checkpoint header stores.
+
+        A dimension that is not a JSON integer is a DataFormatError, and a
+        recipe other than this one a ValueError.
+        """
+        config = cls(dimension=to_number(int, d["dimension"], "checkpoint featurizer",
+                                         "'dimension'"))
         if {**d, "dimension": config.dimension} != config.to_dict():
             raise ValueError(f"featurizer {d} is not the recipe this build hashes, "
                              f"{config.to_dict()}")

@@ -24,9 +24,17 @@ a status string, "ok", "timeout" or "backend_error: <reason>", and a
 backend error, not a timeout, gets one call to the fallback model. Both
 calls share one timeout_ms budget, taken at admission. The status goes
 into the counters, the route-log record and the reply. Each call is one
-HTTP/1.1 POST on a new connection to the endpoint's host and port, checked
-once at start: no proxy is consulted, a 3xx is a backend error and is never
-followed, and a reply over MAX_BODY_BYTES is a backend error.
+HTTP/1.1 POST to the endpoint's host and port, checked once at start: no
+proxy is consulted, a 3xx is a backend error and is never followed, and a
+reply over MAX_BODY_BYTES is a backend error.
+
+A call takes the most recently idle keep-alive connection to its backend,
+or opens one. The connection goes back to the idle list only after a 2xx
+reply that was read to its end and does not close the connection; any
+error, timeout or non-2xx reply drops it. A reused connection that fails
+before a status line arrives (the backend closed it while idle) is retried
+once on a new connection within the same budget; a timeout, or a failure
+after a reply has begun, never is. shutdown() closes the idle connections.
 
 _HTTPServer, _JSONHandler and _query are shared with the stub backend:
 both servers bind, serve on one thread and stop the same way.
@@ -256,16 +264,27 @@ class _JSONHandler(BaseHTTPRequestHandler):
     """Reads a JSON request body and writes one reply: the gateway's and the stub backend's."""
 
     protocol_version = "HTTP/1.0"
+    # _write sends the headers and the body in two writes; with Nagle's
+    # algorithm on, a keep-alive peer's delayed ACK holds the body ~40 ms.
+    disable_nagle_algorithm = True
 
     def _read_json(self) -> dict | None:
-        """The body as a JSON object, or None; _BodyTooLarge when it declares too many bytes."""
+        """The body as a JSON object, or None; _BodyTooLarge when it declares too many bytes.
+
+        A body it leaves unread closes the connection after the reply, so its
+        bytes are never parsed as a next keep-alive request.
+        """
         try:
             length = int(self.headers.get("Content-Length", "0"))
+        except ValueError:
+            length = -1
+        if not 0 <= length <= MAX_BODY_BYTES:
+            self.close_connection = True
             if length < 0:
-                # rfile.read(-1) would wait for EOF
+                # no length to read by; rfile.read(-1) would wait for EOF
                 return None
-            if length > MAX_BODY_BYTES:
-                raise _BodyTooLarge(f"body of {length} bytes is over {MAX_BODY_BYTES}")
+            raise _BodyTooLarge(f"body of {length} bytes is over {MAX_BODY_BYTES}")
+        try:
             raw = self.rfile.read(length) if length else b""
             payload = json.loads(raw.decode("utf-8")) if raw else {}
         except (ValueError, UnicodeDecodeError):
@@ -322,6 +341,12 @@ class Gateway:
     def __init__(self, config: GatewayConfig):
         self.config = config
         self._backends = {m: _backend_target(m, url) for m, url in config.endpoints.items()}
+        # Idle keep-alive connections per backend host and port, most recently
+        # returned last. Only a call puts one there, so a list never holds
+        # more than the calls that were once in flight to it at the same time.
+        self._idle: dict[tuple[str, int], list[http.client.HTTPConnection]] = {
+            (host, port): [] for host, port, _ in self._backends.values()}
+        self._idle_lock = threading.Lock()
         self.model = self._load_and_check(config.checkpoint_path)
         self.metrics = Metrics()
         self._log_lock = threading.Lock()
@@ -380,10 +405,16 @@ class Gateway:
         return f"http://{self.config.host}:{self.port}"
 
     def shutdown(self) -> None:
-        """Stop accepting connections, wait for in-flight handlers, close the route log: final."""
+        """Stop accepting, drain in-flight handlers, close idle backend connections and the log."""
         if self._server is not None:
             self._server.stop()
             self._server = None
+        # After stop(): no handler is left to return a connection.
+        with self._idle_lock:
+            for idle in self._idle.values():
+                for conn in idle:
+                    conn.close()
+                idle.clear()
         if self._log is not None:
             self._log.close()
 
@@ -452,18 +483,34 @@ class Gateway:
         The call gets the time left until `deadline` (a perf_counter()
         reading); with none left it is not made and ends as a timeout.
         """
-        remaining = deadline - time.perf_counter()
-        if remaining <= 0:
-            return None, "timeout"
         host, port, target = self._backends[model_id]
         # UTF-8 with nothing escaped: the forwarded body is never larger than
         # the body the gateway accepted, so it fits the backend's cap too.
         body = json.dumps({"query": text}, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
-        conn = http.client.HTTPConnection(host, port, timeout=remaining)
+        idle = self._idle[host, port]
+        with self._idle_lock:
+            conn = idle.pop() if idle else None
         try:
-            conn.request("POST", target, body,
-                         {"Content-Type": "application/json", "Connection": "close"})
-            resp = conn.getresponse()
+            resp = None
+            while resp is None:
+                remaining = deadline - time.perf_counter()
+                if remaining <= 0:
+                    return None, "timeout"
+                reused = conn is not None
+                if reused:
+                    conn.sock.settimeout(remaining)
+                else:
+                    conn = http.client.HTTPConnection(host, port, timeout=remaining)
+                try:
+                    conn.request("POST", target, body, {"Content-Type": "application/json"})
+                    resp = conn.getresponse()
+                # RemoteDisconnected, no status line at all, is a ConnectionResetError.
+                except (BrokenPipeError, ConnectionResetError):
+                    if not reused:
+                        raise
+                    # The backend closed this idle connection: once more on a new one.
+                    conn.close()
+                    conn = None
             # A 3xx is an error like any other: a redirect is never followed.
             if not 200 <= resp.status < 300:
                 return None, _backend_error(resp.reason)
@@ -471,14 +518,20 @@ class Gateway:
             if len(raw) > MAX_BODY_BYTES:
                 return None, f"backend_error: reply over {MAX_BODY_BYTES} bytes"
             payload = json.loads(raw.decode("utf-8"))
+            if not isinstance(payload, dict) or "text" not in payload:
+                return None, "backend_error: backend response has no 'text' field"
+            # Read to its end, and the backend keeps it open: the next call may reuse it.
+            if resp.isclosed() and not resp.will_close:
+                with self._idle_lock:
+                    idle.append(conn)
+                conn = None
         except TimeoutError:    # socket.timeout is TimeoutError
             return None, "timeout"
         except (OSError, ValueError, http.client.HTTPException) as exc:
             return None, _backend_error(exc)
         finally:
-            conn.close()
-        if not isinstance(payload, dict) or "text" not in payload:
-            return None, "backend_error: backend response has no 'text' field"
+            if conn is not None:
+                conn.close()
         return str(payload["text"]), "ok"
 
     def _generate(self, text: str, model_id: str, distribution: list[float],

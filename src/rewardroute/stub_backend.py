@@ -6,7 +6,9 @@ response can be checked against an offline routing decision exactly. Supports
 an artificial delay and a forced-failure mode for exercising timeout and
 error paths. It reads bodies with the gateway's reader and checks the query
 with the gateway's rule (a bad body is 400, one over the cap 413), and it
-binds, serves and stops through the gateway's server class.
+binds, serves and stops through the gateway's server class. It speaks
+HTTP/1.1, so a client may keep its connection for the next request;
+shutdown() closes those connections too.
 
 Runnable standalone:
 
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import socket
 import threading
 import time
 
@@ -27,6 +30,8 @@ logger = logging.getLogger(__name__)
 
 
 class _StubHandler(_JSONHandler):
+    protocol_version = "HTTP/1.1"
+
     def log_message(self, fmt, *args):
         logger.debug("stub backend: " + fmt, *args)
 
@@ -36,6 +41,8 @@ class _StubHandler(_JSONHandler):
         if backend.delay_ms > 0:
             time.sleep(backend.delay_ms / 1000.0)
         if backend.fail:
+            # The body is left unread, so this connection carries no next request.
+            self.close_connection = True
             self._write(500, {"error": "forced failure"})
             return
         try:
@@ -51,6 +58,41 @@ class _StubHandler(_JSONHandler):
                           "model_id": backend.model_id})
 
 
+class _StubServer(_HTTPServer):
+    """Keeps its open connections, so stop() can end the keep-alive ones.
+
+    Their handler threads are daemon threads that wait on a client's next
+    request with no timeout; without this they would serve it after stop().
+    """
+
+    def __init__(self, addr, handler, owner):
+        self._open: set[socket.socket] = set()
+        self._open_lock = threading.Lock()
+        super().__init__(addr, handler, owner)
+
+    def process_request(self, request, client_address):
+        # On the serving thread, so once stop() has ended that thread, every
+        # accepted connection is in the set.
+        with self._open_lock:
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        with self._open_lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
+
+    def stop(self) -> None:
+        super().stop()
+        with self._open_lock:
+            for request in self._open:
+                try:
+                    # Wakes the handler's read with EOF; its thread then closes the socket.
+                    request.shutdown(socket.SHUT_RDWR)
+                except OSError:     # the client already went away
+                    pass
+
+
 class StubBackend:
     """One fake model server; start() binds and serves on a daemon thread."""
 
@@ -62,7 +104,7 @@ class StubBackend:
         self.fail = fail
         self._hits = 0
         self._lock = threading.Lock()
-        self._server = _HTTPServer((host, port), _StubHandler, self)
+        self._server = _StubServer((host, port), _StubHandler, self)
 
     @property
     def port(self) -> int:

@@ -195,9 +195,19 @@ def test_checkpoint_with_endpoints_in_its_registry_loads_and_routes_identically(
     lambda header: {**header, "registry": [{"model_id": 5}, *header["registry"][1:]]},
     # a featurizer recipe other than the one this build hashes
     lambda header: {**header, "featurizer": {**header["featurizer"], "word_ngram_range": [1, 3]}},
+    # header integers are JSON integers, never coerced
+    lambda header: {**header, "featurizer": {**header["featurizer"], "dimension": "512"}},
+    lambda header: {**header, "featurizer": {**header["featurizer"], "dimension": 512.9}},
+    lambda header: {**header, "dimension": "512"},
+    lambda header: {**header, "dimension": 512.0},
+    lambda header: {**header, "num_models": 3.0},
+    lambda header: {**header, "model_version": "1"},
+    lambda header: {**header, "model_version": True},
 ], ids=["registry-entry-without-model-id", "no-featurizer", "header-is-a-list",
         "registry-shorter-than-num-models", "registry-model-id-not-a-string",
-        "word-orders-1-3"])
+        "word-orders-1-3", "featurizer-dimension-string", "featurizer-dimension-float",
+        "dimension-string", "dimension-float", "num-models-float", "model-version-string",
+        "model-version-bool"])
 def test_malformed_header_is_a_checkpoint_error(malform, tmp_path, capsys):
     """A header whose checksum holds but whose fields do not is refused as data."""
     from rewardroute.cli import EXIT_DATA, main

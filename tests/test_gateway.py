@@ -1,8 +1,10 @@
 import ast
+import http.client
 import json
 import os
 import signal
 import socket
+import statistics
 import subprocess
 import sys
 import threading
@@ -238,7 +240,8 @@ def test_body_declared_over_the_cap_gets_413_unread(gw_env, server):
     host, port = (gw.config.host, gw.port) if server == "gateway" else (stub.host, stub.port)
     # No body follows the header: a server that tried to read it would wait.
     reply = _raw_post(host, port, length=MAX_BODY_BYTES + 1)
-    assert reply.startswith(b"HTTP/1.0 413")
+    # The stub serves HTTP/1.1 (keep-alive), the gateway's client side HTTP/1.0.
+    assert reply.startswith(b"HTTP/1.0 413" if server == "gateway" else b"HTTP/1.1 413")
     assert b"is over" in reply
     snap = gw.metrics.snapshot()
     assert snap["errors"] == ({"bad_request": 1} if server == "gateway" else {})
@@ -258,11 +261,47 @@ def test_stub_backend_answers_malformed_bodies_with_400(gw_env, body, length):
 
     stub = gw_env.backends["m0"]
     reply = _raw_post(stub.host, stub.port, body, length)
-    assert reply.startswith(b"HTTP/1.0 400")
+    assert reply.startswith(b"HTTP/1.1 400")
     assert b'{"error": ' in reply
     status, answer = _post(stub.endpoint, {"query": "tide moon"})
     assert status == 200
     assert answer == {"text": stub_response("m0", "tide moon"), "model_id": "m0"}
+
+
+def _read_until_closed(sock) -> bytes:
+    reply = b""
+    try:
+        while chunk := sock.recv(4096):
+            reply += chunk
+    except ConnectionResetError:
+        pass
+    return reply
+
+
+@pytest.mark.parametrize("case, code", [
+    ("over-the-cap", 413),
+    ("negative-length", 400),
+    ("length-not-a-number", 400),
+    ("forced-failure", 500),
+])
+def test_a_stub_reply_sent_with_the_body_unread_closes_the_connection(gw_env, case, code):
+    from rewardroute.gateway import MAX_BODY_BYTES
+
+    stub = gw_env.backends["m0"]
+    stub.fail = case == "forced-failure"
+    body = b'{"query": "tide moon"}'
+    head = b"POST / HTTP/1.1\r\nHost: stub\r\nContent-Length: %s\r\n\r\n"
+    length = {"over-the-cap": b"%d" % (MAX_BODY_BYTES + 1), "negative-length": b"-1",
+              "length-not-a-number": b"twenty"}.get(case, b"%d" % len(body))
+    # What follows the first header is its body only when the length says so;
+    # either way it must not be read as a second request.
+    first = head % length + (body if case == "forced-failure" else b"")
+    with socket.create_connection((stub.host, stub.port), timeout=5) as sock:
+        sock.sendall(first + head % (b"%d" % len(body)) + body)
+        reply = _read_until_closed(sock)
+    assert reply.startswith(b"HTTP/1.1 %d " % code)
+    assert reply.count(b"HTTP/1.1 ") == 1
+    assert stub.hits == 1
 
 
 def test_route_log_that_cannot_be_opened_fails_startup(gw_env, tmp_path):
@@ -594,6 +633,148 @@ def test_fallback_gets_only_the_time_the_primary_left(gw_env, ckpt, tmp_path):
     # A call with no time left is not made.
     assert gw._call_backend(fallback, query, time.perf_counter()) == (None, "timeout")
     assert gw_env.backends[fallback].hits == 1
+
+
+class _KeepAliveBackend(BaseHTTPRequestHandler):
+    """Answers each POST with a backend-shaped 200 and counts connections, not requests.
+
+    Its server's `mode` picks the reply: "keep-alive" (HTTP/1.1), "http/1.0",
+    "connection-close", or "closes-silently" (HTTP/1.1 that does not say it
+    closes, then does).
+    """
+
+    disable_nagle_algorithm = True
+
+    def setup(self):
+        super().setup()
+        with self.server.lock:
+            self.server.connections += 1
+        self.protocol_version = "HTTP/1.0" if self.server.mode == "http/1.0" else "HTTP/1.1"
+
+    def do_POST(self):
+        query = json.loads(self.rfile.read(int(self.headers["Content-Length"])))["query"]
+        body = json.dumps({"text": "keep: " + query}).encode()
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(body)))
+        if self.server.mode == "connection-close":
+            self.send_header("Connection", "close")
+        self.end_headers()
+        self.wfile.write(body)
+        if self.server.mode == "closes-silently":
+            self.close_connection = True
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def keepalive_backend():
+    """Starts a _KeepAliveBackend in the given mode; returns its server and URL."""
+    servers = []
+
+    def start(mode: str):
+        server = ThreadingHTTPServer(("127.0.0.1", 0), _KeepAliveBackend)
+        server.mode, server.connections, server.lock = mode, 0, threading.Lock()
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        servers.append(server)
+        return server, f"http://127.0.0.1:{server.server_address[1]}/"
+
+    yield start
+    for server in servers:
+        server.shutdown()
+        server.server_close()
+
+
+@pytest.mark.parametrize("mode, connections, pooled", [
+    ("keep-alive", 1, 1),
+    ("http/1.0", 20, 0),
+    ("connection-close", 20, 0),
+    ("closes-silently", 20, 1),
+])
+def test_sequential_calls_to_one_backend_reuse_one_connection(
+        gw_env, tiny_model, keepalive_backend, mode, connections, pooled):
+    server, url = keepalive_backend(mode)
+    gw = gw_env.gateway(endpoints={m: url for m in tiny_model.registry.ids})
+    for i in range(20):
+        query = f"tide moon shore {i}"
+        status, body = _post(gw.url + "/generate", {"query": query})
+        assert (status, body.get("text")) == (200, "keep: " + query), body
+    # A backend that closes is served on a new connection each time; one
+    # that closes without saying so costs a retry, never an error.
+    assert server.connections == connections
+    assert [len(idle) for idle in gw._idle.values()] == [pooled]
+    assert gw.metrics.snapshot()["errors"] == {}
+    gw.shutdown()
+    assert [len(idle) for idle in gw._idle.values()] == [0]
+
+
+def test_concurrent_calls_neither_lose_nor_share_a_pooled_connection(
+        gw_env, tiny_model, keepalive_backend):
+    server, url = keepalive_backend("keep-alive")
+    gw = gw_env.gateway(endpoints={m: url for m in tiny_model.registry.ids})
+    queries = [f"tide moon shore {i}" for i in range(200)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(lambda q: _post(gw.url + "/generate", {"query": q}), queries))
+    finally:
+        sys.setswitchinterval(interval)
+    # A connection handed to two calls at once would mix up their replies.
+    assert [(status, body.get("text")) for status, body in results] \
+        == [(200, "keep: " + q) for q in queries]
+    # Every connection opened is back in the pool once, and no more were
+    # opened than calls were ever in flight.
+    assert [len(idle) for idle in gw._idle.values()] == [server.connections]
+    assert server.connections <= 8
+
+
+def test_a_timed_out_connection_is_not_reused(gw_env, tiny_model):
+    from rewardroute import stub_response
+
+    slow = gw_env.add_backend("slow", delay_ms=400)
+    gw = gw_env.gateway(timeout_ms=150, endpoints={m: slow.endpoint for m in tiny_model.registry.ids})
+    status, body = _post(gw.url + "/generate", {"query": "tide moon shore"})
+    assert (status, body["error"]) == (504, "timeout")
+    time.sleep(0.4)     # the late reply has now been written
+    slow.delay_ms = 0
+    status, body = _post(gw.url + "/generate", {"query": "gear torque shaft"})
+    assert (status, body["text"]) == (200, stub_response("slow", "gear torque shaft"))
+
+
+def test_a_stopped_stub_is_not_served_through_a_pooled_connection(gw_env, ckpt):
+    query = "basil thyme sage mint"
+    primary, _ = route(load_checkpoint(ckpt), query)
+    stub = gw_env.backends[primary]
+    gw = gw_env.gateway()
+    assert _post(gw.url + "/generate", {"query": query})[0] == 200
+    stub.shutdown()
+    status, body = _post(gw.url + "/generate", {"query": query})
+    # The pooled connection is found closed and the call is retried once on
+    # a new connection, which the stopped stub refuses.
+    assert status == 502
+    assert body["error"].startswith("backend_error: [Errno 111]")
+    assert stub.hits == 1
+
+
+def test_keep_alive_round_trip_to_a_stub_is_not_held_by_nagle(gw_env):
+    # With Nagle's algorithm on, the reply's second write waits for the
+    # client's delayed ACK, about 40 ms, on every request of a connection.
+    stub = gw_env.backends["m0"]
+    conn = http.client.HTTPConnection(stub.host, stub.port, timeout=5)
+    seconds = []
+    try:
+        for i in range(20):
+            started = time.perf_counter()
+            conn.request("POST", "/", json.dumps({"query": f"tide moon {i}"}).encode(),
+                         {"Content-Type": "application/json"})
+            resp = conn.getresponse()
+            assert resp.status == 200 and json.loads(resp.read())["model_id"] == "m0"
+            seconds.append(time.perf_counter() - started)
+            assert not resp.will_close
+    finally:
+        conn.close()
+    assert statistics.median(seconds) < 0.010
 
 
 def test_metrics_counters_are_monotone(gw_env):
