@@ -46,7 +46,7 @@ from .evaluation import AblationResult, EvalReport, beta_ablation, evaluate_syst
 from .features import FeaturizerConfig
 from .gateway import Gateway, GatewayConfig
 from .ranking import SyntheticSpec, make_synthetic_benchmark
-from .rewards import aggregate_tag_rewards
+from .rewards import aggregate_tag_rewards, check_beta
 from .router import TrainConfig, TrainReport, init_router, route, train
 
 EXIT_OK = 0
@@ -152,7 +152,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         learning_rate=args.lr, epochs=args.epochs, seed=args.seed,
     )
     for beta in args.betas:
-        dataclasses.replace(config, beta=beta)  # checks each beta before any file is read
+        check_beta(beta)  # before any file is read
     spec = SyntheticSpec.from_file(args.spec)
     result = beta_ablation(spec, args.betas, config)
     _emit_results(args, result)

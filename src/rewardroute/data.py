@@ -114,9 +114,6 @@ class RewardDataset:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def __iter__(self):
-        return iter(self.rows)
-
     def reward_matrix(self) -> np.ndarray:
         """All reward vectors stacked into an (N, K) float64 matrix."""
         return np.stack([row.rewards for row in self.rows])

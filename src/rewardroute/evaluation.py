@@ -18,16 +18,16 @@ reward-entropy vs. selection-correctness analysis.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
 
-from .data import ModelRegistry, RewardDataset
+from .data import RewardDataset
 from .errors import DataFormatError
 from .features import featurize_matrix, stable_hash
-from .ranking import SyntheticSpec, make_synthetic_benchmark, oracle_select, rmr_choice
-from .rewards import aggregate_tag_rewards, normalize_rewards, reward_entropy
+from .ranking import SyntheticSpec, make_synthetic_benchmark
+from .rewards import aggregate_tag_rewards, check_beta, normalize_rewards, reward_entropy
 from .router import (RouterModel, TrainConfig, TrainReport, _fit, _gather_forward, build_targets,
                      forward, init_router)
 
@@ -115,32 +115,47 @@ def build_eval_report(subsets: list[SubsetScores]) -> EvalReport:
 # routing accuracy and system comparison on oracle-labelled datasets
 # ---------------------------------------------------------------------------
 
-def _oracle_ids(dataset: RewardDataset, oracle: Mapping[str, np.ndarray]) -> list[str]:
-    """The oracle-best model id of every row, in row order."""
-    ids = []
-    for row in dataset.rows:
-        if row.query.id not in oracle:
-            raise DataFormatError(f"oracle has no entry for query {row.query.id!r}")
-        ids.append(oracle_select(row.query, oracle[row.query.id], dataset.registry))
-    return ids
-
-
-def _routed_ids(registry: ModelRegistry, probs: np.ndarray) -> list[str]:
-    """The choice for every row of routing distributions; ties go to the lowest index."""
-    return [registry.ids[i] for i in np.argmax(probs, axis=1)]
-
-
-def _router_picks(model: RouterModel, dataset: RewardDataset) -> list[str]:
-    """The router's choice for every row: one featurize, one forward() over the batch."""
-    x = featurize_matrix(model.featurizer_config, [row.query.text for row in dataset.rows])
-    return _routed_ids(model.registry, forward(model, x))
-
-
-def _hit_rate(picks: list[str], oracle_ids: list[str]) -> float:
-    """Share of rows whose pick is the oracle's pick."""
-    if not oracle_ids:
+def _oracle_matrix(dataset: RewardDataset, oracle: Mapping[str, np.ndarray]) -> np.ndarray:
+    """The oracle scores of every row, as an (N, K) matrix in registry order."""
+    if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    return sum(pick == best for pick, best in zip(picks, oracle_ids)) / len(oracle_ids)
+    k = len(dataset.registry)
+    vectors = []
+    for row in dataset.rows:
+        qid = row.query.id
+        if qid not in oracle:
+            raise DataFormatError(f"oracle has no entry for query {qid!r}")
+        scores = np.asarray(oracle[qid], dtype=np.float64)
+        if scores.shape != (k,):
+            raise DataFormatError(
+                f"oracle scores for query {qid!r} have shape {scores.shape}, expected ({k},)")
+        vectors.append(scores)
+    truth = np.stack(vectors)
+    bad = np.flatnonzero(~np.isfinite(truth).all(axis=1))
+    if bad.size:  # json reads NaN and Infinity, so a loaded oracle file can hold them
+        raise DataFormatError(f"oracle scores for query {dataset.rows[bad[0]].query.id!r} "
+                              "have a non-finite entry")
+    return truth
+
+
+def _hits(picks: np.ndarray, truth: np.ndarray) -> np.ndarray:
+    """Whether each row's pick is right: its oracle score equals the row's best, ties included."""
+    return truth[np.arange(len(truth)), picks] == truth.max(axis=1)
+
+
+def _router_picks(model: RouterModel, dataset: RewardDataset) -> np.ndarray:
+    """The router's choice for every row, as an index into the dataset's registry.
+
+    One featurize and one forward() over the batch. The router's own registry
+    may list the models in another order, but not name one the dataset lacks.
+    """
+    missing = [m for m in model.registry.ids if m not in dataset.registry.ids]
+    if missing:
+        raise DataFormatError(f"the router routes to model(s) {missing}, "
+                              "which the dataset's registry lacks")
+    to_dataset = np.array([dataset.registry.index_of(m) for m in model.registry.ids])
+    x = featurize_matrix(model.featurizer_config, [row.query.text for row in dataset.rows])
+    return to_dataset[np.argmax(forward(model, x), axis=1)]
 
 
 def routing_accuracy(
@@ -148,8 +163,8 @@ def routing_accuracy(
     dataset: RewardDataset,
     oracle: Mapping[str, np.ndarray],
 ) -> float:
-    """Fraction of queries routed to the oracle-best model."""
-    return _hit_rate(_router_picks(model, dataset), _oracle_ids(dataset, oracle))
+    """Fraction of queries routed to a model the oracle scores best."""
+    return float(_hits(_router_picks(model, dataset), _oracle_matrix(dataset, oracle)).mean())
 
 
 def evaluate_systems(
@@ -162,30 +177,30 @@ def evaluate_systems(
 
     Systems compared: "oracle" (always right by construction), each constant
     "single:<model_id>" policy, optionally "router" (a trained model) and,
-    with rmr=True, "rmr" (argmax of each row's recorded rewards). Every
-    system is a list of picks, one per row, and its score on a subset is the
-    fraction of the subset's rows whose pick matches the oracle's, which
+    with rmr=True, "rmr" (argmax of each row's recorded rewards, ties to the
+    lowest registry index). Every system is an array of picks, one registry
+    index per row. A pick is right when its oracle score equals the row's
+    best, so of two equally good models either one counts. A system's score
+    on a subset is the fraction of the subset's rows it picks right, which
     makes the report a desk-scale analog of a cross-benchmark leaderboard.
     """
-    oracle_ids = _oracle_ids(dataset, oracle)
-    systems = {"oracle": oracle_ids}
-    for model_id in dataset.registry.ids:
-        systems[f"single:{model_id}"] = [model_id] * len(dataset)
+    truth = _oracle_matrix(dataset, oracle)
+    systems = {"oracle": np.argmax(truth, axis=1)}
+    for j, model_id in enumerate(dataset.registry.ids):
+        systems[f"single:{model_id}"] = np.full(len(dataset), j)
     if model is not None:
         systems["router"] = _router_picks(model, dataset)
     if rmr:
-        systems["rmr"] = [rmr_choice(row, dataset.registry) for row in dataset.rows]
+        systems["rmr"] = np.argmax(dataset.reward_matrix(), axis=1)
+    hits = {system: _hits(picks, truth) for system, picks in systems.items()}
     by_subset: dict[str, list[int]] = {}
     for i, row in enumerate(dataset.rows):
         by_subset.setdefault(row.query.subset or "default", []).append(i)
-
-    subsets = []
-    for name, rows in sorted(by_subset.items()):
-        scores = {}
-        for system, picks in systems.items():
-            scores[system] = _hit_rate([picks[i] for i in rows], [oracle_ids[i] for i in rows])
-        subsets.append(SubsetScores(subset_name=name, scores=scores))
-    return build_eval_report(subsets)
+    return build_eval_report([
+        SubsetScores(subset_name=name,
+                     scores={system: float(hit[rows].mean()) for system, hit in hits.items()})
+        for name, rows in sorted(by_subset.items())
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +267,8 @@ def beta_ablation(
     """
     start = time.perf_counter()
     base = train_config or TrainConfig()
-    for b in betas:  # TrainConfig rejects a bad beta before any work is done
-        replace(base, beta=b)
+    for b in betas:  # a bad beta is rejected before any work is done
+        check_beta(b)
     dataset, oracle = make_synthetic_benchmark(spec)
     train_ds, eval_ds = holdout_split(dataset)
     table = aggregate_tag_rewards(train_ds)
@@ -268,11 +283,11 @@ def beta_ablation(
     phases.targets_s = time.perf_counter() - featurized
     columns, fitted = _fit(model, x_train, targets, base, phases, read=x_eval.indices)
     eval_indices = np.searchsorted(columns, x_eval.indices)  # positions in the fitted weights
-    oracle_ids = _oracle_ids(eval_ds, oracle)
+    truth = _oracle_matrix(eval_ds, oracle)
     accuracies = []
     for weights, bias, _ in fitted:
         probs = _gather_forward(weights, bias, x_eval.indptr, eval_indices, x_eval.data)
-        accuracies.append(_hit_rate(_routed_ids(dataset.registry, probs), oracle_ids))
+        accuracies.append(float(_hits(np.argmax(probs, axis=1), truth).mean()))
     phases.wall_seconds = time.perf_counter() - start
     return AblationResult(
         betas=list(betas), accuracies=accuracies,
@@ -287,6 +302,9 @@ def beta_ablation(
 @dataclass
 class EntropyAnalysis:
     """Per-query (entropy, correct) pairs plus their rank correlation.
+
+    correct says whether the reward argmax scores the oracle's best on that
+    query; a pick that ties the best counts.
 
     correlation is None and degenerate is True when either column is
     constant (e.g. noiseless benchmarks where every selection is right).
@@ -307,20 +325,18 @@ def entropy_quality_analysis(
     """Does selection confidence predict correctness?
 
     For each query: Shannon entropy of the normalized reward distribution,
-    and whether reward-ranking (argmax of the recorded rewards) picks the
-    oracle-best model. The statistic is the Spearman rank correlation
-    between entropy and the 0/1 correctness column; a negative value means
-    uncertain (high-entropy) reward vectors mis-select more often.
+    and whether reward-ranking (argmax of the recorded rewards) picks a model
+    the oracle scores best, under the same rule evaluate_systems scores by.
+    The statistic is the Spearman rank correlation between entropy and the
+    0/1 correctness column; a negative value means uncertain (high-entropy)
+    reward vectors mis-select more often.
     """
-    oracle_ids = _oracle_ids(dataset, oracle)
-    if not oracle_ids:
-        raise ValueError("cannot evaluate on an empty dataset")
-    pairs: list[tuple[float, bool]] = []
-    for row, best in zip(dataset.rows, oracle_ids):
-        entropy = reward_entropy(normalize_rewards(row.rewards))
-        pairs.append((entropy, rmr_choice(row, dataset.registry) == best))
+    truth = _oracle_matrix(dataset, oracle)
+    correct = _hits(np.argmax(dataset.reward_matrix(), axis=1), truth)
+    pairs = [(reward_entropy(normalize_rewards(row.rewards)), hit)
+             for row, hit in zip(dataset.rows, correct.tolist())]
     entropies = np.array([p[0] for p in pairs])
-    correctness = np.array([float(p[1]) for p in pairs])
+    correctness = correct.astype(np.float64)
     if np.all(correctness == correctness[0]) or np.all(entropies == entropies[0]):
         return EntropyAnalysis(pairs=pairs, correlation=None, degenerate=True)
     from scipy import stats  # here, not at the top: it costs serving ~0.4 s of import

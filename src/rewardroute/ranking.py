@@ -1,12 +1,8 @@
-"""Reward-ranking baselines and seeded synthetic benchmarks.
+"""Seeded synthetic benchmarks and the stub backend's placeholder output.
 
-Reward model ranking (RMR) scores one candidate output per registry model
-and keeps the best-scored one; it is the strong-but-expensive baseline the
-router is compared against. A dataset row's recorded reward vector stands
-in for those K scores, so RMR is the argmax of that vector. Oracle
-selection is the upper bound: argmax of ground-truth preference. Desk-scale
-experiments run on synthetic planted-expertise benchmarks where the oracle
-is known by construction.
+Desk-scale experiments run on synthetic planted-expertise benchmarks where
+the oracle is known by construction. The oracle and reward-ranking (RMR)
+choices these benchmarks score are made in evaluation.py.
 """
 
 from __future__ import annotations
@@ -26,27 +22,6 @@ def stub_response(model_id: str, query_text: str) -> str:
     """Placeholder backend output: '<model_id>:<query hash>'."""
     digest = hashlib.sha256(query_text.encode("utf-8")).hexdigest()[:12]
     return f"{model_id}:{digest}"
-
-
-def oracle_select(query: Query, oracle_scores: np.ndarray,
-                  registry: ModelRegistry) -> str:
-    """Argmax of ground-truth preference; ties go to the lowest index."""
-    scores = np.asarray(oracle_scores, dtype=np.float64)
-    if scores.shape != (len(registry),):
-        raise DataFormatError(
-            f"oracle scores for query {query.id!r} have shape {scores.shape}, "
-            f"expected ({len(registry)},)"
-        )
-    return registry.ids[int(np.argmax(scores))]
-
-
-def rmr_choice(row: DatasetRow, registry: ModelRegistry) -> str:
-    """Reward model ranking: the model whose recorded reward is highest.
-
-    The row's reward vector stands in for scoring all K candidate outputs.
-    Ties go to the lowest registry index.
-    """
-    return registry.ids[int(np.argmax(row.rewards))]
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,12 @@ def check_temperature(temperature: float) -> None:
         raise ValueError(f"temperature must be positive, got {temperature}")
 
 
+def check_beta(beta: float) -> None:
+    """Raise ValueError unless the smoothing weight lies in [0, 1]."""
+    if not 0.0 <= beta <= 1.0:
+        raise ValueError(f"beta must lie in [0, 1], got {beta}")
+
+
 def normalize_rewards(rewards: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     """Softmax of rewards/temperature, computed with max-subtraction.
 
@@ -125,8 +131,7 @@ def enhance_labels(
     beta=1 returns the sample rewards unchanged; beta=0 returns the tag
     mean. The blend is linear entrywise.
     """
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"beta must lie in [0, 1], got {beta}")
+    check_beta(beta)
     r = np.asarray(rewards, dtype=np.float64)
     r_tag = tag_mean_for_query(query, table)
     return beta * r + (1.0 - beta) * r_tag

@@ -40,7 +40,7 @@ import numpy as np
 from .data import ModelRegistry, RewardDataset
 from .errors import DivergenceError
 from .features import FeaturizerConfig, _hashed_chunks, featurize_matrix
-from .rewards import TagRewardTable, check_temperature, tag_mean_for_query
+from .rewards import TagRewardTable, check_beta, check_temperature, tag_mean_for_query
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -115,8 +115,7 @@ class TrainConfig:
             raise ValueError("epochs must be a positive integer")
         if self.batch_size < 1:
             raise ValueError("batch_size must be a positive integer")
-        if not 0.0 <= self.beta <= 1.0:
-            raise ValueError(f"beta must lie in [0, 1], got {self.beta}")
+        check_beta(self.beta)
         if self.l2_penalty < 0:
             raise ValueError("l2_penalty must be non-negative")
 
@@ -142,12 +141,9 @@ def init_router(
 ) -> RouterModel:
     """Fresh router: weights uniform in [-0.01, 0.01] from the seed, bias zero."""
     config = featurizer_config or FeaturizerConfig()
-    k = len(registry)
-    if k < 2:
-        raise ValueError(f"routing needs at least 2 candidate models, got {k}")
     rng = np.random.default_rng(seed)
-    weights = rng.uniform(-INIT_SCALE, INIT_SCALE, size=(k, config.dimension))
-    bias = np.zeros(k, dtype=np.float64)
+    weights = rng.uniform(-INIT_SCALE, INIT_SCALE, size=(len(registry), config.dimension))
+    bias = np.zeros(len(registry), dtype=np.float64)
     return RouterModel(weights=weights, bias=bias, featurizer_config=config,
                        registry=registry)
 
@@ -224,8 +220,7 @@ def build_targets(
     with all rows blended and normalized at once and each distinct tag set's
     mean computed once.
     """
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"beta must lie in [0, 1], got {beta}")
+    check_beta(beta)
     check_temperature(temperature)
     k = len(dataset.registry)
     if len(dataset) == 0:

@@ -135,9 +135,10 @@ def test_beta_out_of_range_is_usage_error(value, tmp_path, capsys):
     assert code == EXIT_USAGE
 
 
-def test_bad_beta_list_is_usage_error(tiny_spec_file, capsys):
-    code = main(["ablate", "--spec", tiny_spec_file, "--betas", "0.2,7"])
-    capsys.readouterr()
+def test_bad_beta_list_is_usage_error(tmp_path, capsys):
+    # The betas are checked before the spec file is read.
+    code = main(["ablate", "--spec", str(tmp_path / "missing.json"), "--betas", "0.2,7"])
+    assert capsys.readouterr().err == "error: beta must lie in [0, 1], got 7.0\n"
     assert code == EXIT_USAGE
 
 
@@ -532,6 +533,23 @@ def test_eval_records_include_router_and_rmr(tmp_path, synth_files, capsys):
 
     file_records = [json.loads(line) for line in out.read_text().splitlines()]
     assert file_records == records
+
+
+def test_eval_with_a_nan_oracle_score_exits_data_error(tmp_path, capsys):
+    # Python's json reads NaN, so the file loads; the score must not.
+    registry = tmp_path / "registry.json"
+    registry.write_text('{"models": [{"model_id": "a"}, {"model_id": "b"}]}', encoding="utf-8")
+    data = tmp_path / "data.jsonl"
+    data.write_text('{"id": "q1", "query": "tide moon", "rewards": {"a": 0.2, "b": 0.8}}\n',
+                    encoding="utf-8")
+    oracle = tmp_path / "oracle.jsonl"
+    oracle.write_text('{"id":"q1","scores":{"a":NaN,"b":1.0}}\n', encoding="utf-8")
+    code = main(["eval", "--data", str(data), "--registry", str(registry),
+                 "--oracle", str(oracle), "--rmr"])
+    captured = capsys.readouterr()
+    assert code == EXIT_DATA
+    assert captured.out == ""
+    assert captured.err == "error: oracle scores for query 'q1' have a non-finite entry\n"
 
 
 # ---------------------------------------------------------------------------

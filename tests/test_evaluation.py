@@ -236,6 +236,56 @@ def test_rmr_ties_go_to_lowest_index():
     assert _rmr_scores(evaluate_systems(dataset, oracle, rmr=True)) == [1.0, 1.0, 0.0, 1.0]
 
 
+def test_oracle_argmax_and_shape_check():
+    # A pick is right where the oracle scores it best; each oracle vector has K entries.
+    dataset, oracle = _one_row_subsets([([0.0, 0.0, 0.0], [0.0, 0.0, 1.0])])
+    scores = evaluate_systems(dataset, oracle).subsets[0].scores
+    assert scores == {"oracle": 1.0, "single:a": 0.0, "single:b": 0.0, "single:c": 1.0}
+    with pytest.raises(DataFormatError,
+                       match=r"oracle scores for query 'q0' have shape \(2,\), expected \(3,\)"):
+        evaluate_systems(dataset, {"q0": np.array([1.0, 2.0])})
+
+
+def test_a_pick_that_ties_the_oracle_best_is_a_hit():
+    # m0 and m1 are both right on every row, and the rewards favour m1.
+    registry = ModelRegistry(["m0", "m1", "m2"])
+    rows = tuple(DatasetRow(Query(id=f"q{i}", text=f"query {i}", subset="s"),
+                            np.array([0.1, 0.9, 0.0])) for i in range(4))
+    dataset = RewardDataset(registry, rows)
+    oracle = {row.query.id: np.array([1.0, 1.0, 0.0]) for row in rows}
+    report = evaluate_systems(dataset, oracle, rmr=True)
+    assert report.subsets[0].scores == {"oracle": 1.0, "single:m0": 1.0, "single:m1": 1.0,
+                                        "single:m2": 0.0, "rmr": 1.0}
+    assert report.mtr == {"oracle": 1.0, "single:m0": 1.0, "single:m1": 1.0,
+                          "single:m2": 5.0, "rmr": 1.0}
+    assert [correct for _, correct in entropy_quality_analysis(dataset, oracle).pairs] == [True] * 4
+    favours_m1 = replace(init_router(registry, FeaturizerConfig(dimension=64)),
+                         bias=np.array([0.0, 5.0, 0.0]))
+    assert routing_accuracy(favours_m1, dataset, oracle) == 1.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_oracle_scores_are_a_data_format_error(bad):
+    dataset, oracle = _one_row_subsets([([0.1, 0.9, 0.3], [bad, 1.0, 0.0])])
+    message = "oracle scores for query 'q0' have a non-finite entry"
+    with pytest.raises(DataFormatError, match=message):
+        evaluate_systems(dataset, oracle, rmr=True)
+    with pytest.raises(DataFormatError, match=message):
+        entropy_quality_analysis(dataset, oracle)
+
+
+def test_a_router_naming_a_model_the_dataset_lacks_is_a_data_format_error(tiny_benchmark,
+                                                                           tiny_model):
+    # Its picks of m2 have no oracle score to be judged by.
+    dataset, oracle = tiny_benchmark
+    renamed = RewardDataset(ModelRegistry(("m0", "m1", "m9")), dataset.rows)
+    message = r"the router routes to model\(s\) \['m2'\], which the dataset's registry lacks"
+    with pytest.raises(DataFormatError, match=message):
+        evaluate_systems(renamed, oracle, tiny_model)
+    with pytest.raises(DataFormatError, match=message):
+        routing_accuracy(tiny_model, renamed, oracle)
+
+
 def test_routing_accuracy_bounds(tiny_benchmark, tiny_model):
     dataset, oracle = tiny_benchmark
     acc = routing_accuracy(tiny_model, dataset, oracle)
@@ -429,3 +479,12 @@ def test_entropy_analysis_rejects_an_empty_dataset():
     dataset = RewardDataset(registry=ModelRegistry(("m0", "m1")), rows=())
     with pytest.raises(ValueError, match="cannot evaluate on an empty dataset"):
         entropy_quality_analysis(dataset, {})
+
+
+def test_scoring_rejects_an_empty_dataset():
+    registry = ModelRegistry(("m0", "m1"))
+    dataset = RewardDataset(registry=registry, rows=())
+    with pytest.raises(ValueError, match="cannot evaluate on an empty dataset"):
+        evaluate_systems(dataset, {}, rmr=True)
+    with pytest.raises(ValueError, match="cannot evaluate on an empty dataset"):
+        routing_accuracy(init_router(registry, FeaturizerConfig(dimension=64)), dataset, {})

@@ -5,13 +5,12 @@ import pytest
 
 from rewardroute import (
     DataFormatError,
-    ModelRegistry,
-    Query,
     SyntheticSpec,
+    evaluate_systems,
     make_synthetic_benchmark,
     stub_response,
 )
-from rewardroute.ranking import oracle_select, rmr_choice, synthetic_registry
+from rewardroute.ranking import synthetic_registry
 
 from conftest import TINY_SPEC, make_dataset
 
@@ -24,34 +23,18 @@ def test_stub_response_format():
     assert stub_response("m0", text).split(":")[1] == digest
 
 
-def test_rmr_select_is_argmax():
-    ds = make_dataset([
-        ("q1", "anything", (), [0.1, 0.9, 0.3]),
-        ("q2", "anything", (), [0.5, 0.5, 0.1]),   # tie: lowest index wins
-        ("q3", "anything", (), [0.0, 0.2, 0.4]),
-    ])
-    assert [rmr_choice(row, ds.registry) for row in ds.rows] == ["beta", "alpha", "gamma"]
-
-
 def test_dataset_lookup_source():
     # RMR's scores are the dataset row's recorded rewards, row by row,
     # so the pick follows the rewards stored with each query.
     ds = make_dataset([("q1", "text one", (), [0.2, 0.8, 0.1]),
                        ("q2", "text two", (), [0.7, 0.1, 0.1])])
     np.testing.assert_array_equal(ds.reward_matrix(), [[0.2, 0.8, 0.1], [0.7, 0.1, 0.1]])
-    assert rmr_choice(ds.rows[0], ds.registry) == "beta"
-    assert rmr_choice(ds.rows[1], ds.registry) == "alpha"
+    beta_then_alpha = {"q1": np.array([0.0, 1.0, 0.0]), "q2": np.array([1.0, 0.0, 0.0])}
+    alpha_then_beta = {"q1": np.array([1.0, 0.0, 0.0]), "q2": np.array([0.0, 1.0, 0.0])}
+    assert evaluate_systems(ds, beta_then_alpha, rmr=True).subsets[0].scores["rmr"] == 1.0
+    assert evaluate_systems(ds, alpha_then_beta, rmr=True).subsets[0].scores["rmr"] == 0.0
     with pytest.raises(DataFormatError, match="registry has 3 models"):
         make_dataset([("q1", "text one", (), [0.2, 0.8])])
-
-
-def test_oracle_select_argmax_and_shape_check():
-    reg = ModelRegistry(["a", "b", "c"])
-    q = Query(id="q1", text="anything")
-    assert oracle_select(q, np.array([0.0, 0.0, 1.0]), reg) == "c"
-    assert oracle_select(q, np.array([1.0, 1.0, 0.0]), reg) == "a"
-    with pytest.raises(DataFormatError, match="shape"):
-        oracle_select(q, np.array([1.0, 2.0]), reg)
 
 
 def test_synthetic_registry_ids():

@@ -194,10 +194,10 @@ def test_enhance_labels_endpoints_and_blend():
     )
 
 
-@pytest.mark.parametrize("bad", [-0.1, 1.1])
+@pytest.mark.parametrize("bad", [-0.1, 1.1, math.nan])
 def test_enhance_labels_rejects_out_of_range_beta(bad):
     ds = make_dataset([("q1", "a", ("x",), [1.0, 0.0, 0.0])])
     table = aggregate_tag_rewards(ds)
     q = Query(id="q1", text="a", tags=frozenset({"x"}))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=rf"^beta must lie in \[0, 1\], got {bad}$"):
         enhance_labels(np.array([1.0, 0.0, 0.0]), q, table, beta=bad)
