@@ -59,6 +59,7 @@ from .gateway import Gateway, GatewayConfig
 from .ranking import SyntheticSpec, make_synthetic_benchmark, stub_response
 from .rewards import (
     aggregate_tag_rewards,
+    build_targets,
     enhance_labels,
     normalize_rewards,
     reward_entropy,
@@ -66,7 +67,6 @@ from .rewards import (
 from .router import (
     RouterModel,
     TrainConfig,
-    build_targets,
     forward,
     init_router,
     kl_objective,

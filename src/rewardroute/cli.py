@@ -24,7 +24,9 @@ import sys
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (
+    RewardDataset,
     apply_tag_rules,
+    check_query_text,
     load_benchmark_queries,
     load_dataset,
     load_oracle,
@@ -78,13 +80,17 @@ def _emit_results(args: argparse.Namespace, result: EvalReport | AblationResult)
         print(result.render_table())
 
 
+def _load_data(args: argparse.Namespace) -> RewardDataset:
+    """The --data dataset, read against the models of the --registry file."""
+    return load_dataset(args.data, load_registry(args.registry))
+
+
 # ---------------------------------------------------------------------------
 # subcommand implementations
 # ---------------------------------------------------------------------------
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    registry = load_registry(args.registry)
-    dataset = load_dataset(args.data, registry)
+    dataset = _load_data(args)
     removed: list[tuple[str, tuple[str, ...]]] = []
     if args.benchmarks:
         dataset, removed = decontaminate(dataset, load_benchmark_queries(args.benchmarks))
@@ -99,8 +105,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_tag(args: argparse.Namespace) -> int:
-    registry = load_registry(args.registry)
-    dataset = load_dataset(args.data, registry)
+    dataset = _load_data(args)
     rules = load_tag_rules(args.rules)
     tagged = apply_tag_rules(dataset, rules)
     save_dataset(tagged, args.out)
@@ -116,10 +121,9 @@ def cmd_train(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     featurizer = FeaturizerConfig(dimension=args.dimension)
-    registry = load_registry(args.registry)
-    dataset = load_dataset(args.data, registry)
+    dataset = _load_data(args)
     table = aggregate_tag_rewards(dataset)
-    model = init_router(registry, featurizer, seed=args.seed)
+    model = init_router(dataset.registry, featurizer, seed=args.seed)
     trained, report = train(model, dataset, table, config)
     for epoch, loss in enumerate(report.epoch_losses, start=1):
         print(f"epoch {epoch}/{config.epochs} loss {loss:.6f}")
@@ -138,9 +142,8 @@ def _print_phases(command: str, report: TrainReport) -> None:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    registry = load_registry(args.registry)
-    dataset = load_dataset(args.data, registry)
-    oracle = load_oracle(args.oracle, registry)
+    dataset = _load_data(args)
+    oracle = load_oracle(args.oracle, dataset.registry)
     model = load_checkpoint(args.checkpoint) if args.checkpoint else None
     report = evaluate_systems(dataset, oracle, model=model, rmr=args.rmr)
     _emit_results(args, report)
@@ -161,13 +164,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 
 
 def cmd_route(args: argparse.Namespace) -> int:
-    if not args.query.strip():  # /route answers 400 for a blank query too
-        raise DataFormatError("--query is blank, so there is nothing to route")
-    try:
-        args.query.encode("utf-8")
-    except UnicodeEncodeError as exc:  # argv bytes that are not UTF-8 decode to lone surrogates
-        raise DataFormatError(f"--query holds a lone surrogate at character {exc.start}, "
-                              f"so it has no UTF-8 form") from None
+    check_query_text(args.query, "--query")  # the rule /route answers 400 by
     model = load_checkpoint(args.checkpoint)
     model_id, probs = route(model, args.query)
     distribution = {m: float(p) for m, p in zip(model.registry.ids, probs)}
@@ -197,7 +194,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     config = GatewayConfig.from_file(args.config)
     gateway = Gateway(config)
     gateway.start()
-    print(f"gateway listening on {gateway.url}")
+    print(f"gateway listening on {gateway.url}", flush=True)  # a parent may wait on this line
     gateway.serve_forever()     # a Ctrl-C shuts it down, and main() maps it to EXIT_OK
     return EXIT_OK
 
@@ -232,15 +229,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--registry", required=True)
     p.add_argument("--out", required=True, help="checkpoint output path")
-    p.add_argument("--beta", type=float, default=0.3,
+    p.add_argument("--beta", type=float, default=TrainConfig.beta,
                    help="weight on per-query rewards vs tag means")
-    p.add_argument("--temperature", type=float, default=1.0)
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--l2", type=float, default=1e-6)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dimension", type=int, default=65536,
+    p.add_argument("--temperature", type=float, default=TrainConfig.temperature)
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--l2", type=float, default=TrainConfig.l2_penalty)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
+    p.add_argument("--dimension", type=int, default=FeaturizerConfig.dimension,
                    help="hashed feature dimension")
     p.set_defaults(func=cmd_train)
 
@@ -260,9 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--betas", type=_float_list,
                    default=DEFAULT_BETAS,
                    help="comma-separated weights, e.g. 0,0.3,1.0")
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.add_argument("--out", help="also write JSON records here")
     _add_format_flag(p)
     p.set_defaults(func=cmd_ablate)

@@ -24,6 +24,20 @@ from .errors import DataFormatError
 UNTAGGED = "__untagged__"
 
 
+def check_query_text(text: str, what: str) -> None:
+    """Raise DataFormatError unless text is routable: not blank, and with a UTF-8 form.
+
+    what names the text in the message, e.g. "--query" or "'query'".
+    """
+    if not text.strip():
+        raise DataFormatError(f"{what} is blank")
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:  # JSON's "\ud800", or argv bytes that are not UTF-8
+        raise DataFormatError(f"{what} holds a lone surrogate at character {exc.start}, "
+                              "so it has no UTF-8 form") from None
+
+
 @dataclass(frozen=True)
 class Query:
     """One routed unit of text."""
@@ -36,13 +50,7 @@ class Query:
     def __post_init__(self):
         if not self.id:
             raise DataFormatError("query id must be a non-empty string")
-        if not self.text.strip():
-            raise DataFormatError(f"query {self.id!r}: text is empty after trimming")
-        try:
-            self.text.encode("utf-8")
-        except UnicodeEncodeError as exc:
-            raise DataFormatError(f"query {self.id!r}: text holds a lone surrogate "
-                                  f"at character {exc.start}, so it has no UTF-8 form") from None
+        check_query_text(self.text, f"query {self.id!r}: text")
         object.__setattr__(self, "tags", frozenset(self.tags))
 
 

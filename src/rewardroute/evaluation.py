@@ -27,9 +27,10 @@ from .data import RewardDataset
 from .errors import DataFormatError
 from .features import featurize_matrix, stable_hash
 from .ranking import SyntheticSpec, make_synthetic_benchmark
-from .rewards import aggregate_tag_rewards, check_beta, normalize_rewards, reward_entropy
-from .router import (RouterModel, TrainConfig, TrainReport, _fit, _gather_forward, build_targets,
-                     forward, init_router)
+from .rewards import (aggregate_tag_rewards, build_targets, check_beta, normalize_rewards,
+                      reward_entropy)
+from .router import (RouterModel, TrainConfig, TrainReport, _fit, _gather_forward, forward,
+                     init_router)
 
 
 @dataclass(frozen=True)
@@ -265,6 +266,7 @@ def beta_ablation(
     alone, and only the weight columns the eval split reads are kept; they
     are scored through the same per-row gather as forward().
     """
+    import scipy.sparse  # noqa: F401  before the clock: featurize_s times no import
     start = time.perf_counter()
     base = train_config or TrainConfig()
     for b in betas:  # a bad beta is rejected before any work is done

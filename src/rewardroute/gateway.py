@@ -59,8 +59,9 @@ from urllib.parse import urlsplit
 import numpy as np
 
 from .checkpoint import load_checkpoint
-from .data import check_str, read_json, read_registry_file, require_fields, to_number
-from .errors import GatewayError
+from .data import (check_query_text, check_str, read_json, read_registry_file, require_fields,
+                   to_number)
+from .errors import DataFormatError, GatewayError
 from .router import RouterModel, route
 
 logger = logging.getLogger(__name__)
@@ -97,13 +98,13 @@ class GatewayConfig:
 
         _, endpoints = read_registry_file(_path("registry"))
         fallback = raw.get("fallback_model_id")
+        numbers = {key: to_number(int, raw.get(key, getattr(cls, key)), where, repr(key))
+                   for key in ("port", "timeout_ms", "max_in_flight")}
         return cls(
             checkpoint_path=_path("checkpoint"),
             endpoints=endpoints,
-            host=check_str(raw.get("host", "127.0.0.1"), where, "'host'"),
-            port=to_number(int, raw.get("port", 8080), where, "'port'"),
-            timeout_ms=to_number(int, raw.get("timeout_ms", 30000), where, "'timeout_ms'"),
-            max_in_flight=to_number(int, raw.get("max_in_flight", 256), where, "'max_in_flight'"),
+            host=check_str(raw.get("host", cls.host), where, "'host'"),
+            **numbers,
             fallback_model_id=(None if fallback is None
                                else check_str(fallback, where, "'fallback_model_id'")),
             route_log_path=_path("route_log") if raw.get("route_log") else None,
@@ -587,10 +588,10 @@ def _query(payload: dict | None) -> tuple[str | None, str | None]:
     if payload is None:
         return None, "body must be a JSON object"
     text = payload.get("query")
-    if not isinstance(text, str) or not text.strip():
-        return None, "missing or empty 'query'"
+    if not isinstance(text, str):
+        return None, "'query' is missing or not a string"
     try:
-        text.encode("utf-8")
-    except UnicodeEncodeError:  # a lone surrogate such as JSON's "\ud800"
-        return None, "'query' holds a lone surrogate, so it has no UTF-8 form"
+        check_query_text(text, "'query'")
+    except DataFormatError as exc:
+        return None, str(exc)
     return text, None

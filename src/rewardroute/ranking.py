@@ -99,7 +99,7 @@ class SyntheticSpec:
                 noise_sigma=to_number(float, raw["noise_sigma"], where, "'noise_sigma'"),
                 seed=to_number(int, raw["seed"], where, "'seed'"),
                 expertise=raw.get("expertise"),
-                words_per_query=raw.get("words_per_query", (6, 12)),
+                words_per_query=raw.get("words_per_query", cls.words_per_query),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise DataFormatError(f"{where} is malformed: {exc}") from exc

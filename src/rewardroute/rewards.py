@@ -1,4 +1,4 @@
-"""Reward normalization, tag-wise aggregation, and label enhancement.
+"""Reward normalization, tag-wise aggregation, label enhancement and targets.
 
 Per-model scalar rewards for a query are turned into a routing target by a
 temperature softmax. Before that, each sample's rewards can be smoothed
@@ -40,16 +40,26 @@ def normalize_rewards(rewards: np.ndarray, temperature: float = 1.0) -> np.ndarr
     """Softmax of rewards/temperature, computed with max-subtraction.
 
     The output sums to 1 and is invariant under adding a constant to all
-    rewards. Ties in the input stay ties in the output.
+    rewards. Ties in the input stay ties in the output. `rewards` must be
+    1-D; anything else is a ValueError.
     """
     check_temperature(temperature)
     r = np.asarray(rewards, dtype=np.float64)
+    if r.ndim != 1:
+        raise ValueError(f"reward vector must be 1-D, got shape {r.shape}")
     if not np.all(np.isfinite(r)):
         raise ValueError("reward vector has non-finite entries")
-    z = r / temperature
-    z = z - z.max()
+    return softmax_rows(r[np.newaxis] / temperature)[0]
+
+
+def softmax_rows(logits: np.ndarray) -> np.ndarray:
+    """Softmax of each row of a 2-D array, computed with max-subtraction.
+
+    The package's one softmax: reward targets and router predictions alike.
+    """
+    z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum()
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def reward_entropy(probs: np.ndarray) -> float:
@@ -135,3 +145,31 @@ def enhance_labels(
     r = np.asarray(rewards, dtype=np.float64)
     r_tag = tag_mean_for_query(query, table)
     return beta * r + (1.0 - beta) * r_tag
+
+
+def build_targets(
+    dataset: RewardDataset,
+    table: TagRewardTable,
+    beta: float,
+    temperature: float,
+) -> np.ndarray:
+    """Distillation targets: softmax of tag-enhanced rewards, one row per query.
+
+    Row by row the same bits as enhance_labels followed by normalize_rewards,
+    with all rows blended and normalized at once and each distinct tag set's
+    mean computed once.
+    """
+    check_beta(beta)
+    check_temperature(temperature)
+    k = len(dataset.registry)
+    if len(dataset) == 0:
+        return np.empty((0, k), dtype=np.float64)
+    tag_means: dict[frozenset[str], np.ndarray] = {}
+    for row in dataset.rows:
+        if row.query.tags not in tag_means:
+            tag_means[row.query.tags] = tag_mean_for_query(row.query, table)
+    r_tag = np.stack([tag_means[row.query.tags] for row in dataset.rows])
+    enhanced = beta * dataset.reward_matrix() + (1.0 - beta) * r_tag
+    if not np.all(np.isfinite(enhanced)):
+        raise ValueError("reward vector has non-finite entries")
+    return softmax_rows(enhanced / temperature)

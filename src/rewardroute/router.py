@@ -3,9 +3,10 @@
 The router is a multinomial logistic regression over hashed text features:
 logits = W @ f + b, routing distribution = softmax(logits). Training runs
 plain mini-batch gradient descent on the mean KL divergence between the
-target distribution (softmax of tag-enhanced rewards) and the router's
-prediction, plus an L2 penalty on the weights. Everything is seeded and
-single-threaded, so identical inputs give bit-identical trained models.
+target distribution (rewards.build_targets: softmax of tag-enhanced
+rewards) and the router's prediction, plus an L2 penalty on the weights.
+Everything is seeded and single-threaded, so identical inputs give
+bit-identical trained models.
 
 train() and the beta ablation both train through _fit, and forward(),
 route() and the ablation's scoring all gather through _gather_forward.
@@ -40,7 +41,7 @@ import numpy as np
 from .data import ModelRegistry, RewardDataset
 from .errors import DivergenceError
 from .features import FeaturizerConfig, _hashed_chunks, featurize_matrix
-from .rewards import TagRewardTable, check_beta, check_temperature, tag_mean_for_query
+from .rewards import TagRewardTable, build_targets, check_beta, check_temperature, softmax_rows
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -148,12 +149,6 @@ def init_router(
                        registry=registry)
 
 
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def forward(model: RouterModel, x: sparse.csr_matrix) -> np.ndarray:
     """Routing distributions softmax(W f + b), one row per CSR row of x.
 
@@ -175,7 +170,7 @@ def _gather_forward(weights: np.ndarray, bias: np.ndarray, indptr, indices: np.n
     for i in range(len(logits)):
         lo, hi = indptr[i], indptr[i + 1]
         logits[i] = weights[:, indices[lo:hi]] @ data[lo:hi]
-    return _softmax_rows(logits + bias)
+    return softmax_rows(logits + bias)
 
 
 def _kl_rows(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -208,34 +203,6 @@ def kl_objective(
     return loss, grad_w_t.T, grad_b
 
 
-def build_targets(
-    dataset: RewardDataset,
-    table: TagRewardTable,
-    beta: float,
-    temperature: float,
-) -> np.ndarray:
-    """Distillation targets: softmax of tag-enhanced rewards, one row per query.
-
-    Row by row the same bits as enhance_labels followed by normalize_rewards,
-    with all rows blended and normalized at once and each distinct tag set's
-    mean computed once.
-    """
-    check_beta(beta)
-    check_temperature(temperature)
-    k = len(dataset.registry)
-    if len(dataset) == 0:
-        return np.empty((0, k), dtype=np.float64)
-    tag_means: dict[frozenset[str], np.ndarray] = {}
-    for row in dataset.rows:
-        if row.query.tags not in tag_means:
-            tag_means[row.query.tags] = tag_mean_for_query(row.query, table)
-    r_tag = np.stack([tag_means[row.query.tags] for row in dataset.rows])
-    enhanced = beta * dataset.reward_matrix() + (1.0 - beta) * r_tag
-    if not np.all(np.isfinite(enhanced)):
-        raise ValueError("reward vector has non-finite entries")
-    return _softmax_rows(enhanced / temperature)
-
-
 def train(
     model: RouterModel,
     dataset: RewardDataset,
@@ -253,6 +220,7 @@ def train(
     if dataset.registry.ids != model.registry.ids:
         raise ValueError("dataset registry does not match the model registry")
 
+    import scipy.sparse  # noqa: F401  before the clock: featurize_s times no import
     report = TrainReport(row_count=len(dataset))
     start = time.perf_counter()
     texts = [row.query.text for row in dataset.rows]
@@ -369,8 +337,8 @@ def _decay(block: np.ndarray, steps_per_epoch: int, config: TrainConfig,
 
 
 def _softmax_groups(logits: np.ndarray, k: int) -> np.ndarray:
-    """_softmax_rows on each group of k columns of a C-ordered logits matrix."""
-    return _softmax_rows(logits.reshape(-1, k)).reshape(logits.shape)
+    """softmax_rows on each group of k columns of a C-ordered logits matrix."""
+    return softmax_rows(logits.reshape(-1, k)).reshape(logits.shape)
 
 
 def _batch_grads(weights_t: np.ndarray, bias: np.ndarray, x: sparse.csr_matrix,

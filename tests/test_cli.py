@@ -7,6 +7,7 @@ subprocess to cover signal handling.
 
 import json
 import os
+import select
 import signal
 import socket
 import subprocess
@@ -22,10 +23,13 @@ from rewardroute.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
     EXIT_USAGE,
+    build_parser,
     main,
 )
 from rewardroute.data import load_dataset, load_registry, save_dataset
+from rewardroute.features import FeaturizerConfig
 from rewardroute.fixtures import fixture_path
+from rewardroute.router import TrainConfig
 
 DATA = str(fixture_path("sample_dataset.jsonl"))
 REGISTRY = str(fixture_path("registry.json"))
@@ -615,6 +619,19 @@ def test_route_table_prints_choice(ckpt, capsys):
     assert "codegen" in printed
 
 
+def test_train_and_ablate_flags_default_to_the_config_dataclasses():
+    parser = build_parser()
+    train = parser.parse_args(["train", "--data", "d", "--registry", "r", "--out", "o"])
+    assert TrainConfig(learning_rate=train.lr, epochs=train.epochs,
+                       batch_size=train.batch_size, beta=train.beta,
+                       temperature=train.temperature, l2_penalty=train.l2,
+                       seed=train.seed) == TrainConfig()
+    assert train.dimension == FeaturizerConfig().dimension
+    ablate = parser.parse_args(["ablate", "--spec", "s"])
+    assert (ablate.lr, ablate.epochs, ablate.seed) == (
+        TrainConfig().learning_rate, TrainConfig().epochs, TrainConfig().seed)
+
+
 def test_route_query_without_a_utf8_form_exits_data_error(ckpt, capsys):
     # Python decodes an argv byte that is not UTF-8, such as the 0xff of
     # --query "$(printf 'tide \xff moon')", to the lone surrogate U+DCFF.
@@ -635,7 +652,7 @@ def test_route_blank_query_exits_data_error(ckpt, capsys, query):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1
-    assert lines[0] == "error: --query is blank, so there is nothing to route"
+    assert lines[0] == "error: --query is blank"
 
 
 # ---------------------------------------------------------------------------
@@ -648,14 +665,9 @@ def test_serve_subprocess_stops_cleanly_on_sigint(tmp_path, ckpt):
         {"model_id": m, "endpoint": "http://127.0.0.1:1/"}
         for m in ("mathsolver", "codegen", "generalist")
     ]}), encoding="utf-8")
-    probe = socket.socket()
-    probe.bind(("127.0.0.1", 0))
-    port = probe.getsockname()[1]
-    probe.close()
     config = tmp_path / "gateway.json"
-    config.write_text(json.dumps({
-        "checkpoint": ckpt, "registry": str(registry),
-        "host": "127.0.0.1", "port": port,
+    config.write_text(json.dumps({  # port 0: the child binds a free port itself
+        "checkpoint": ckpt, "registry": str(registry), "host": "127.0.0.1", "port": 0,
     }), encoding="utf-8")
 
     proc = subprocess.Popen(
@@ -663,28 +675,23 @@ def test_serve_subprocess_stops_cleanly_on_sigint(tmp_path, ckpt):
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
     )
     try:
-        deadline = time.monotonic() + 10.0
-        status = None
-        while time.monotonic() < deadline:
-            try:
-                with urllib.request.urlopen(
-                    f"http://127.0.0.1:{port}/healthz", timeout=1.0
-                ) as resp:
-                    status = json.loads(resp.read())
-                break
-            except OSError:
-                if proc.poll() is not None:
-                    break
-                time.sleep(0.05)
-        assert status == {"status": "ok", "models": 3}
+        ready, _, _ = select.select([proc.stdout], [], [], 10.0)
+        line = proc.stdout.readline() if ready else ""
+        assert line.startswith("gateway listening on http://"), f"first stdout line {line!r}"
+        with urllib.request.urlopen(line.split()[-1] + "/healthz", timeout=5.0) as resp:
+            assert json.loads(resp.read()) == {"status": "ok", "models": 3}
         proc.send_signal(signal.SIGINT)
-        stdout, _ = proc.communicate(timeout=10.0)
+        proc.communicate(timeout=10.0)
+        assert proc.returncode == 0
+    except (AssertionError, OSError, subprocess.TimeoutExpired) as exc:
+        if proc.poll() is None:
+            proc.kill()
+        _, stderr = proc.communicate()
+        pytest.fail(f"{exc!r}; the child exited {proc.returncode} with stderr:\n{stderr}")
     finally:
         if proc.poll() is None:
             proc.kill()
             proc.communicate()
-    assert proc.returncode == 0
-    assert "gateway listening on" in stdout
 
 
 def test_serve_shuts_the_gateway_down_once_on_ctrl_c(tmp_path, ckpt, monkeypatch, capsys):

@@ -162,6 +162,18 @@ def test_query_without_a_utf8_form_is_a_bad_request(gw_env, path):
     assert status == 200
 
 
+@pytest.mark.parametrize("payload, error", [
+    ({}, "'query' is missing or not a string"),
+    ({"query": 17}, "'query' is missing or not a string"),
+    ({"query": " \t"}, "'query' is blank"),
+    (b'{"query": "tide \\ud800 moon"}',
+     "'query' holds a lone surrogate at character 5, so it has no UTF-8 form"),
+])
+def test_an_unroutable_query_is_a_400_naming_the_rule_it_breaks(gw_env, payload, error):
+    status, body = _post(gw_env.gateway().url + "/route", payload)
+    assert (status, body["error"]) == (400, error)
+
+
 def test_non_ascii_query_under_the_cap_fits_the_backend_cap(gw_env, ckpt):
     from rewardroute import stub_response
     from rewardroute.gateway import MAX_BODY_BYTES
@@ -940,6 +952,15 @@ def _write_registry(path, endpoints):
     path.write_text(json.dumps({"models": [
         {"model_id": m, "endpoint": endpoint} for m, endpoint in endpoints.items()
     ]}), encoding="utf-8")
+
+
+def test_gateway_config_from_file_leaves_unset_fields_at_their_defaults(gw_env, ckpt, tmp_path):
+    _write_registry(tmp_path / "registry.json", gw_env.endpoints())
+    config_path = tmp_path / "gateway.json"
+    config_path.write_text(json.dumps({"checkpoint": ckpt, "registry": "registry.json"}),
+                           encoding="utf-8")
+    assert GatewayConfig.from_file(config_path) == GatewayConfig(
+        checkpoint_path=ckpt, endpoints=gw_env.endpoints())
 
 
 def test_gateway_config_from_file(gw_env, ckpt, tmp_path):

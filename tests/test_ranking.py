@@ -145,3 +145,4 @@ def test_bundled_synthetic_spec_loads():
     assert spec.num_models == 6
     assert len(spec.clusters) == 6
     assert spec.queries_per_cluster == 200
+    assert (spec.expertise, spec.words_per_query) == (None, (6, 12))  # unset: the defaults

@@ -31,6 +31,21 @@ def test_normalize_matches_scipy_softmax():
         np.testing.assert_allclose(normalize_rewards(r, t), softmax(r / t), atol=1e-12)
 
 
+@pytest.mark.parametrize("k", [2, 9, 16, 33, 100, 1000])
+def test_normalize_is_bitwise_the_one_vector_softmax(k):
+    # build_targets and the router share normalize_rewards' softmax, so a
+    # second, inline softmax checks it. From K = 8 numpy sums in blocks and
+    # pairs, not left to right, so the larger K cover that order.
+    rng = np.random.default_rng(k)
+    for t in (0.05, 0.25, 1.0, 3.0):
+        for _ in range(20):
+            r = rng.normal(scale=3.0, size=k)
+            z = r / t
+            z -= z.max()
+            e = np.exp(z)
+            assert normalize_rewards(r, t).tobytes() == (e / e.sum()).tobytes()
+
+
 def test_normalize_shift_invariance():
     rng = np.random.default_rng(1)
     for _ in range(50):
@@ -64,6 +79,13 @@ def test_normalize_rejects_non_positive_temperature(bad_t):
 def test_normalize_rejects_non_finite():
     with pytest.raises(ValueError):
         normalize_rewards(np.array([1.0, np.inf]))
+
+
+@pytest.mark.parametrize("rewards", [np.float64(1.0), np.ones((2, 3))], ids=["0-d", "2-d"])
+def test_normalize_rejects_what_is_not_a_reward_vector(rewards):
+    # The softmax is taken per row of r[np.newaxis], so only a 1-D r is one row.
+    with pytest.raises(ValueError, match=r"reward vector must be 1-D, got shape \("):
+        normalize_rewards(rewards)
 
 
 def test_entropy_uniform_is_log_k():

@@ -1,4 +1,7 @@
+import json
 import math
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -256,6 +259,41 @@ def test_train_report_phase_times_fit_in_wall_time(sample_dataset):
     assert all(p >= 0 for p in phases)
     assert report.featurize_s > 0 and report.optimize_s > 0
     assert sum(phases) <= report.wall_seconds
+
+
+# Each runs in a fresh interpreter, where scipy.sparse is not imported yet.
+_COLD_SETUP = """
+import json
+from dataclasses import asdict, replace
+from rewardroute import (FeaturizerConfig, SyntheticSpec, TrainConfig, aggregate_tag_rewards,
+                         beta_ablation, init_router, load_dataset, load_registry, train)
+from rewardroute.fixtures import fixture_path
+"""
+_COLD_RUNS = {
+    "train": """
+registry = load_registry(fixture_path("registry.json"))
+dataset = load_dataset(fixture_path("sample_dataset.jsonl"), registry)
+model = init_router(registry, FeaturizerConfig(dimension=4096))
+_, report = train(model, dataset, aggregate_tag_rewards(dataset), TrainConfig(epochs=3))
+""",
+    "beta_ablation": """
+spec = replace(SyntheticSpec.from_file(fixture_path("synthetic_spec.json")), queries_per_cluster=20)
+report = beta_ablation(spec, [0.0, 1.0], TrainConfig(epochs=3)).phases
+""",
+}
+
+
+@pytest.mark.parametrize("run", sorted(_COLD_RUNS))
+def test_phase_times_add_up_in_a_fresh_interpreter(run):
+    """featurize_s times the featurizing alone, not the first import of scipy.sparse."""
+    script = _COLD_SETUP + _COLD_RUNS[run] + "print(json.dumps(asdict(report)))\n"
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert report["featurize_s"] < 0.05  # with the import inside, it read 0.15-0.22 s
+    phases = ("featurize_s", "targets_s", "optimize_s", "decay_s")
+    assert sum(report[p] for p in phases) <= report["wall_seconds"]
 
 
 def _stepwise_decay(block, steps_per_epoch, config):

@@ -31,7 +31,8 @@ from rewardroute import (
 from rewardroute.checkpoint import serialize_model
 from rewardroute.features import FeaturizerConfig
 from rewardroute.fixtures import fixture_path
-from rewardroute.router import TrainReport, _fit, _kl_rows, _softmax_rows, kl_objective
+from rewardroute.rewards import softmax_rows
+from rewardroute.router import TrainReport, _fit, _kl_rows, kl_objective
 
 from conftest import make_dataset
 from test_router import _overfit_dataset
@@ -152,7 +153,7 @@ def _full_matrix_train(model, dataset, table, config):
                                                  l2_penalty=config.l2_penalty)
                 weights -= config.learning_rate * grad_w
                 bias -= config.learning_rate * grad_b
-            loss = float(_kl_rows(_softmax_rows(x @ weights.T + bias), targets).mean())
+            loss = float(_kl_rows(softmax_rows(x @ weights.T + bias), targets).mean())
             if not np.isfinite(loss) or not np.all(np.isfinite(weights)):
                 raise DivergenceError("diverged", last_finite_loss=losses[-1] if losses else None)
             losses.append(loss)
