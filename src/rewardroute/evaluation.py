@@ -29,8 +29,8 @@ from .features import featurize_matrix, stable_hash
 from .ranking import SyntheticSpec, make_synthetic_benchmark
 from .rewards import (aggregate_tag_rewards, build_targets, check_beta, normalize_rewards,
                       reward_entropy)
-from .router import (RouterModel, TrainConfig, TrainReport, _fit, _gather_forward, forward,
-                     init_router)
+from .router import (RouterModel, TrainConfig, TrainReport, _column_positions, _fit,
+                     _gather_forward, forward, init_router)
 
 
 @dataclass(frozen=True)
@@ -284,7 +284,7 @@ def beta_ablation(
     phases.featurize_s = featurized - mark
     phases.targets_s = time.perf_counter() - featurized
     columns, fitted = _fit(model, x_train, targets, base, phases, read=x_eval.indices)
-    eval_indices = np.searchsorted(columns, x_eval.indices)  # positions in the fitted weights
+    eval_indices = _column_positions(columns, x_eval.indices, model.dimension)
     truth = _oracle_matrix(eval_ds, oracle)
     accuracies = []
     for weights, bias, _ in fitted:

@@ -28,6 +28,14 @@ is taken per group of K, so each mini-batch makes one set of sparse
 products for all of them. Those products compute every output column on
 its own and in the same order, so each target's weights, bias and losses
 are bit-identical to training it alone.
+
+The descent builds no scipy matrix. It keeps the compacted rows as plain
+CSR arrays and hands them to the compiled kernels that scipy's own
+operators call (_csr_kernel): csr_row_index gathers a mini-batch's rows
+as x[idx] would, csr_matvecs computes xb @ W and csc_matvecs xb.T @ g.
+Same kernels, same inputs, same bits, without the per-call checks and
+object construction of scipy's operators, which cost more per mini-batch
+than the products themselves.
 """
 
 from __future__ import annotations
@@ -56,6 +64,10 @@ MODEL_FORMAT_VERSION = 1
 # The untouched-column replay runs this many weights at a time through all
 # of its steps, so each chunk stays in cache.
 _DECAY_CHUNK = 2 ** 15
+
+# A CSR matrix as (indptr, indices, data, n_cols): what the descent hands to
+# scipy's compiled kernels in place of a scipy matrix object.
+_Csr = tuple[np.ndarray, np.ndarray, np.ndarray, int]
 
 
 @dataclass(frozen=True)
@@ -195,12 +207,26 @@ def kl_objective(
     Forward direction KL(t || p): dL/dlogits = (p - t) / B.
     The penalty 0.5 * l2 * ||W||^2 applies to weights only, not the bias.
     The prediction and gradients come from the trainer's _batch_grads, so
-    a check of these gradients checks the ones train() descends on.
+    a check of these gradients checks the ones train() descends on. Like
+    the trainer, it runs them on the columns x touches; every other
+    column's gradient is 0.0 + l2 * w, bit for bit what the full product
+    gives it.
     """
-    pred, grad_w_t, grad_b = _batch_grads(weights.T, bias, x, targets, l2_penalty,
-                                          weights.shape[0])
+    k, dimension = weights.shape
+    if x.shape[1] != dimension:
+        raise ValueError(f"feature dimension {x.shape[1]} does not match "
+                         f"weights dimension {dimension}")
+    if targets.shape != (x.shape[0], k):
+        raise ValueError(f"targets shape {targets.shape} does not match "
+                         f"(rows={x.shape[0]}, K={k})")
+    columns, x_columns = _compact(x.tocsr(), dimension)
+    pred, grad_columns, grad_b = _batch_grads(np.ascontiguousarray(weights[:, columns].T),
+                                              bias, x_columns, targets, l2_penalty, k)
+    grad_w = l2_penalty * weights
+    grad_w += 0.0  # the untouched columns' data gradient: it turns a -0.0 into 0.0
+    grad_w[:, columns] = grad_columns.T
     loss = float(_kl_rows(pred, targets).mean()) + 0.5 * l2_penalty * float((weights ** 2).sum())
-    return loss, grad_w_t.T, grad_b
+    return loss, grad_w, grad_b
 
 
 def train(
@@ -253,26 +279,21 @@ def _fit(
     the C-ordered (K, |columns|) weights over them, the (K,) bias and the
     epoch losses. Adds the descent's and the replay's times to phases.
     """
-    from scipy import sparse  # here, not at the top: serving builds no CSR matrix
     start = time.perf_counter()
     n = x.shape[0]
     if n == 0:
         raise ValueError("cannot train on an empty dataset")
-    columns = np.unique(x.indices) if read is None else np.union1d(x.indices, read)
+    columns, x_columns = _compact(x, model.dimension, read)
     read_columns = np.arange(model.dimension) if read is None else columns
     if not targets:
         return read_columns, []
-    rest = np.setdiff1d(np.arange(model.dimension), columns, assume_unique=True)
+    rest = np.delete(np.arange(model.dimension), columns)
     decay_start = time.perf_counter()
     decayed, nonfinite_epoch = None, None
     if read is None or _l2_can_grow(config):
         steps_per_epoch = -(-n // config.batch_size)
         decayed, nonfinite_epoch = _decay(model.weights[:, rest], steps_per_epoch, config)
     decay_s = time.perf_counter() - decay_start
-    x_columns = sparse.csr_matrix(
-        (x.data, np.searchsorted(columns, x.indices).astype(x.indices.dtype), x.indptr),
-        shape=(n, len(columns)),
-    )
     block, bias, losses = _optimize(model.weights[:, columns], model.bias, x_columns, targets,
                                     config, nonfinite_epoch)
     k = model.num_models
@@ -287,6 +308,29 @@ def _fit(
     phases.decay_s += decay_s
     phases.optimize_s += time.perf_counter() - start - decay_s
     return read_columns, fitted
+
+
+def _compact(x: sparse.csr_matrix, dimension: int, read: np.ndarray | None = None,
+             ) -> tuple[np.ndarray, _Csr]:
+    """The sorted ids of the columns x or read touch, and x's rows compacted to them."""
+    touched = np.zeros(dimension, dtype=bool)
+    touched[x.indices] = True
+    if read is not None:
+        touched[read] = True
+    columns = np.flatnonzero(touched)
+    return columns, (x.indptr, _column_positions(columns, x.indices, dimension), x.data,
+                     len(columns))
+
+
+def _column_positions(columns: np.ndarray, indices: np.ndarray, dimension: int) -> np.ndarray:
+    """Where each of indices sits in columns, sorted ids that must hold them all.
+
+    The same positions as np.searchsorted(columns, indices), in indices'
+    dtype, read from a lookup table over all dimension ids.
+    """
+    table = np.zeros(dimension, dtype=indices.dtype)
+    table[columns] = np.arange(len(columns), dtype=indices.dtype)
+    return table[indices]
 
 
 def _l2_can_grow(config: TrainConfig) -> bool:
@@ -341,25 +385,74 @@ def _softmax_groups(logits: np.ndarray, k: int) -> np.ndarray:
     return softmax_rows(logits.reshape(-1, k)).reshape(logits.shape)
 
 
-def _batch_grads(weights_t: np.ndarray, bias: np.ndarray, x: sparse.csr_matrix,
-                 targets: np.ndarray, l2_penalty: float, k: int,
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _csr_kernel(op: str, x: _Csr, operand: np.ndarray):
+    """Run one of the compiled kernels behind scipy's CSR operators on x's arrays.
+
+    op "rows" returns the _Csr of the rows operand lists, as x[operand]
+    would (csr_row_index); "matmul" returns x @ operand (csr_matvecs) and
+    "rmatmul" x.T @ operand (csc_matvecs). Each gives the bits of scipy's
+    operator: same kernel, same inputs, a zeroed float64 output.
+
+    x must be sound the way a scipy CSR matrix is: indptr non-decreasing
+    from 0 to at most len(indices), every index below n_cols. Shapes,
+    dtypes and contiguity are checked here before any pointer reaches C.
+    Each kernel writes only into arrays allocated here and returned, never
+    into a copy numpy made, which would lose the result.
+    """
+    from scipy.sparse import _sparsetools  # training only: serving loads no scipy
+    indptr, indices, data, n_cols = x
+    n_rows = len(indptr) - 1
+    if not (indptr.dtype == indices.dtype and indptr.dtype in (np.int32, np.int64)
+            and data.dtype == np.float64 and n_rows >= 0 and len(indices) == len(data)
+            and all(a.ndim == 1 and a.flags.c_contiguous for a in (indptr, indices, data))):
+        raise ValueError("CSR arrays must be 1-D and C-contiguous: int32 or int64 indptr and "
+                         "indices of one dtype, float64 data as long as indices")
+    if op == "rows":
+        if not (operand.ndim == 1 and operand.dtype == indptr.dtype
+                and operand.flags.c_contiguous):
+            raise ValueError("row ids must be a C-contiguous 1-D array in the index dtype")
+        if len(operand) and (operand.min() < 0 or operand.max() >= n_rows):
+            raise ValueError(f"row ids must lie in [0, {n_rows})")
+        out_indptr = np.zeros(len(operand) + 1, dtype=indptr.dtype)
+        np.cumsum(indptr[operand + 1] - indptr[operand], out=out_indptr[1:])
+        out_indices = np.empty(out_indptr[-1], dtype=indptr.dtype)
+        out_data = np.empty(out_indptr[-1], dtype=np.float64)
+        _sparsetools.csr_row_index(len(operand), operand, indptr, indices, data,
+                                   out_indices, out_data)
+        return out_indptr, out_indices, out_data, n_cols
+    rows, cols = (n_rows, n_cols) if op == "matmul" else (n_cols, n_rows)
+    if not (operand.ndim == 2 and operand.shape[0] == cols and operand.dtype == np.float64
+            and operand.flags.c_contiguous):
+        raise ValueError(f"{op}: operand must be a C-contiguous float64 array with {cols} "
+                         f"rows, got {operand.dtype} {operand.shape}")
+    out = np.zeros((rows, operand.shape[1]), dtype=np.float64)
+    kernel = _sparsetools.csr_matvecs if op == "matmul" else _sparsetools.csc_matvecs
+    kernel(rows, cols, operand.shape[1], indptr, indices, data, operand.reshape(-1),
+           out.reshape(-1))
+    return out
+
+
+def _batch_grads(weights_t: np.ndarray, bias: np.ndarray, x: _Csr, targets: np.ndarray,
+                 l2_penalty: float, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Prediction and kl_objective's gradients on a stacked (|columns| x B*K) block."""
-    pred = _softmax_groups(x @ weights_t + bias, k)
-    g = (pred - targets) / x.shape[0]
-    return pred, x.T @ g + l2_penalty * weights_t, g.sum(axis=0)
+    pred = _softmax_groups(_csr_kernel("matmul", x, weights_t) + bias, k)
+    g = (pred - targets) / (len(x[0]) - 1)
+    grad_w = _csr_kernel("rmatmul", x, g)
+    grad_w += l2_penalty * weights_t
+    return pred, grad_w, g.sum(axis=0)
 
 
 def _optimize(
     weights: np.ndarray,
     bias: np.ndarray,
-    x: sparse.csr_matrix,
+    x: _Csr,
     targets: list[np.ndarray],
     config: TrainConfig,
     nonfinite_epoch: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, list[list[float]]]:
     """The gradient-descent loop of train(), on B target matrices in lockstep.
 
+    x holds the rows compacted to the |columns| the descent runs on.
     Every target starts from the (K, |columns|) weights and (K,) bias.
     Returns the trained (|columns| x B*K) weight block, whose columns
     b*K to (b+1)*K - 1 are target b's transposed weights, the (B*K,) bias
@@ -369,9 +462,9 @@ def _optimize(
     when a replayed weight went non-finite, counts as diverged. A diverged
     target's non-finite columns never enter another target's columns.
     """
-    (k, _), n, count = weights.shape, x.shape[0], len(targets)
+    (k, _), n, count = weights.shape, len(x[0]) - 1, len(targets)
     rng = np.random.default_rng(config.seed)
-    # C-ordered, so CSR products take it as is.
+    # C-ordered, as the CSR kernels require.
     weights_t = np.concatenate([weights.T] * count, axis=1)
     bias = np.concatenate([bias] * count)
     stacked = np.concatenate(targets, axis=1)
@@ -381,14 +474,14 @@ def _optimize(
     # Overflow is handled by the explicit finiteness check below, not warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
-            order = rng.permutation(n)
+            order = rng.permutation(n).astype(x[0].dtype, copy=False)
             for lo in range(0, n, config.batch_size):
                 idx = order[lo:lo + config.batch_size]
-                _, grad_w, grad_b = _batch_grads(weights_t, bias, x[idx], stacked[idx],
-                                                 config.l2_penalty, k)
+                _, grad_w, grad_b = _batch_grads(weights_t, bias, _csr_kernel("rows", x, idx),
+                                                 stacked[idx], config.l2_penalty, k)
                 weights_t -= config.learning_rate * grad_w
                 bias -= config.learning_rate * grad_b
-            pred = _softmax_groups(x @ weights_t + bias, k)
+            pred = _softmax_groups(_csr_kernel("matmul", x, weights_t) + bias, k)
             # One contiguous row of per-query KL per target, so each mean sums
             # in the same order as a lone target's.
             kl = _kl_rows(pred.reshape(-1, k), stacked.reshape(-1, k)).reshape(n, count).T.copy()

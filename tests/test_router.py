@@ -25,9 +25,10 @@ from rewardroute import (
     train,
 )
 from rewardroute.features import FeaturizerConfig
-from rewardroute.rewards import TagRewardTable, enhance_labels, normalize_rewards
-from rewardroute.router import (_DECAY_CHUNK, RouterModel, TrainReport, _decay, _fit,
-                                _kl_rows, _l2_can_grow, kl_objective)
+from rewardroute.rewards import (TagRewardTable, enhance_labels, normalize_rewards,
+                                 softmax_rows)
+from rewardroute.router import (_DECAY_CHUNK, RouterModel, TrainReport, _column_positions,
+                                _csr_kernel, _decay, _fit, _kl_rows, _l2_can_grow, kl_objective)
 
 from conftest import make_dataset
 
@@ -111,6 +112,120 @@ def test_l2_penalty_applies_to_weights_only():
     penalized, _, gb_pen = kl_objective(weights, bias, x, targets, l2_penalty=0.1)
     assert penalized == pytest.approx(plain + 0.05 * float((weights ** 2).sum()), rel=1e-12)
     np.testing.assert_array_equal(gb_plain, gb_pen)
+
+
+def test_kl_objective_rejects_shapes_that_do_not_match():
+    rng = np.random.default_rng(8)
+    weights, bias = rng.normal(size=(3, 16)), np.zeros(3)
+    targets = softmax(rng.normal(size=(5, 3)), axis=1)
+    for columns in (4096, 8):
+        x = sparse.random(5, columns, density=0.1, format="csr", random_state=columns)
+        with pytest.raises(ValueError):
+            kl_objective(weights, bias, x, targets)
+    x = sparse.csr_matrix(rng.uniform(0, 1, size=(5, 16)))
+    for bad in (targets[:4], targets[:, :2], np.vstack([targets, targets])):
+        with pytest.raises(ValueError):
+            kl_objective(weights, bias, x, bad)
+
+
+def _random_csr(index_dtype, n_rows=40, n_cols=30, seed=6):
+    """A random CSR matrix with empty rows, its index arrays in index_dtype."""
+    rng = np.random.default_rng(seed)
+    dense = rng.normal(size=(n_rows, n_cols)) * (rng.uniform(size=(n_rows, n_cols)) < 0.2)
+    dense[::7] = 0.0
+    x = sparse.csr_matrix(dense)
+    x.indptr, x.indices = x.indptr.astype(index_dtype), x.indices.astype(index_dtype)
+    return x
+
+
+@pytest.mark.parametrize("l2", [0.0, 0.3])
+def test_kl_objective_matches_scipy_full_products_bitwise(l2):
+    # Most of the 300 columns are untouched, and some weights are -0.0:
+    # the full product gives an untouched column 0.0 + l2 * w, so 0.0 there.
+    x = _random_csr(np.int32, n_cols=300)
+    rng = np.random.default_rng(9)
+    weights, bias = rng.normal(size=(4, 300)), rng.normal(size=4)
+    weights[:, ::5] = -0.0
+    targets = rng.dirichlet(np.ones(4), size=x.shape[0])
+    g = (softmax_rows(x @ weights.T + bias) - targets) / x.shape[0]
+    _, grad_w, grad_b = kl_objective(weights, bias, x, targets, l2_penalty=l2)
+    assert grad_w.tobytes() == np.ascontiguousarray((x.T @ g + l2 * weights.T).T).tobytes()
+    assert grad_b.tobytes() == g.sum(axis=0).tobytes()
+
+
+@pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+def test_csr_kernels_match_scipy_operators_bitwise(index_dtype):
+    x = _random_csr(index_dtype)
+    arrays = (x.indptr, x.indices, x.data, x.shape[1])
+    rng = np.random.default_rng(2)
+    order = rng.permutation(x.shape[0]).astype(index_dtype)
+    # A lone empty row, a lone nonempty row, then 40 rows in batches of 16: the last has 8.
+    batches = [np.array([7], dtype=index_dtype), np.array([1], dtype=index_dtype)]
+    batches += [order[lo:lo + 16] for lo in range(0, len(order), 16)]
+    assert x[batches[0]].nnz == 0 and len(batches[-1]) == 8
+    w = rng.normal(size=(x.shape[1], 12))
+    assert _csr_kernel("matmul", arrays, w).tobytes() == (x @ w).tobytes()
+    for idx in batches:
+        rows, expected = _csr_kernel("rows", arrays, idx), x[idx]
+        assert all(a.dtype == index_dtype for a in rows[:2])
+        np.testing.assert_array_equal(rows[0], expected.indptr)
+        np.testing.assert_array_equal(rows[1], expected.indices)
+        assert rows[2].tobytes() == expected.data.tobytes() and rows[3] == x.shape[1]
+        g = rng.normal(size=(len(idx), 12))
+        assert _csr_kernel("matmul", rows, w).tobytes() == (expected @ w).tobytes()
+        assert _csr_kernel("rmatmul", rows, g).tobytes() == (expected.T @ g).tobytes()
+
+
+def test_csr_kernels_write_only_into_the_arrays_they_return(monkeypatch):
+    from scipy.sparse import _sparsetools
+    written = []
+    for name, outputs in (("csr_row_index", 2), ("csr_matvecs", 1), ("csc_matvecs", 1)):
+        def recording(*args, kernel=getattr(_sparsetools, name), outputs=outputs):
+            written.extend(args[-outputs:])
+            return kernel(*args)
+        monkeypatch.setattr(_sparsetools, name, recording)
+    x = _random_csr(np.int32)
+    arrays = (x.indptr, x.indices, x.data, x.shape[1])
+    idx = np.arange(3, 19, dtype=np.int32)
+    w = np.random.default_rng(3).normal(size=(x.shape[1], 4))
+    rows = _csr_kernel("rows", arrays, idx)
+    g = _csr_kernel("matmul", rows, w)
+    results = [rows[1], rows[2], g, _csr_kernel("rmatmul", rows, g)]
+    assert len(written) == len(results)
+    for out, result in zip(written, results):
+        assert out is result or out.base is result
+        assert not any(np.shares_memory(out, a) for a in (*arrays[:3], idx, w))
+
+
+def test_csr_kernel_rejects_what_would_reach_c_malformed():
+    x = _random_csr(np.int32)
+    arrays = (x.indptr, x.indices, x.data, x.shape[1])
+    w = np.ones((x.shape[1], 4))
+    cases = [
+        ("matmul", arrays, np.ones((4, x.shape[1])).T),             # not C-contiguous
+        ("matmul", arrays, np.ones((x.shape[1] + 1, 4))),           # one row too many
+        ("matmul", arrays, w.astype(np.float32)),
+        ("rmatmul", arrays, w),                                     # needs x.shape[0] rows
+        ("matmul", (x.indptr, x.indices.astype(np.int64), x.data, x.shape[1]), w),
+        ("matmul", (x.indptr, x.indices, x.data.astype(np.float32), x.shape[1]), w),
+        ("matmul", (x.indptr, x.indices, x.data[:-1], x.shape[1]), w),
+        ("rows", arrays, np.array([0, x.shape[0]], dtype=np.int32)),
+        ("rows", arrays, np.array([-1], dtype=np.int32)),
+        ("rows", arrays, np.array([0, 1], dtype=np.int64)),
+        ("rows", arrays, np.arange(4, dtype=np.int32)[::2]),
+    ]
+    for op, csr, operand in cases:
+        with pytest.raises(ValueError):
+            _csr_kernel(op, csr, operand)
+
+
+@pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+def test_column_positions_match_searchsorted(index_dtype):
+    x = _random_csr(index_dtype, n_cols=500)
+    columns = np.union1d(x.indices, [3, 499])
+    got = _column_positions(columns, x.indices, 500)
+    assert got.dtype == index_dtype
+    np.testing.assert_array_equal(got, np.searchsorted(columns, x.indices))
 
 
 def test_forward_matches_dense_softmax():

@@ -4,7 +4,8 @@ The digests and values below were recorded from the trainer that ran
 gradient descent on the whole K x D weight matrix. The trainer now descends
 only on the columns the training rows touch and replays the L2 step on the
 rest, which must give the same bits. A reference copy of the full-matrix
-loop, built on the public kl_objective, is kept here as well.
+loop is kept here as well. It is written with scipy's public sparse
+operators, so it shares no code with the trainer's calls to scipy's kernels.
 """
 
 import hashlib
@@ -32,7 +33,7 @@ from rewardroute.checkpoint import serialize_model
 from rewardroute.features import FeaturizerConfig
 from rewardroute.fixtures import fixture_path
 from rewardroute.rewards import softmax_rows
-from rewardroute.router import TrainReport, _fit, _kl_rows, kl_objective
+from rewardroute.router import TrainReport, _fit, _kl_rows
 
 from conftest import make_dataset
 from test_router import _overfit_dataset
@@ -149,10 +150,10 @@ def _full_matrix_train(model, dataset, table, config):
             order = rng.permutation(x.shape[0])
             for lo in range(0, x.shape[0], config.batch_size):
                 idx = order[lo:lo + config.batch_size]
-                _, grad_w, grad_b = kl_objective(weights, bias, x[idx], targets[idx],
-                                                 l2_penalty=config.l2_penalty)
-                weights -= config.learning_rate * grad_w
-                bias -= config.learning_rate * grad_b
+                xb = x[idx]
+                g = (softmax_rows(xb @ weights.T + bias) - targets[idx]) / xb.shape[0]
+                weights -= config.learning_rate * ((xb.T @ g).T + config.l2_penalty * weights)
+                bias -= config.learning_rate * g.sum(axis=0)
             loss = float(_kl_rows(softmax_rows(x @ weights.T + bias), targets).mean())
             if not np.isfinite(loss) or not np.all(np.isfinite(weights)):
                 raise DivergenceError("diverged", last_finite_loss=losses[-1] if losses else None)
