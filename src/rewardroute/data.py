@@ -38,6 +38,12 @@ def check_query_text(text: str, what: str) -> None:
                               "so it has no UTF-8 form") from None
 
 
+def check_seed(seed: int) -> None:
+    """Raise ValueError unless seed is a non-negative integer, as numpy's default_rng needs."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 @dataclass(frozen=True)
 class Query:
     """One routed unit of text."""

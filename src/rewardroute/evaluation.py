@@ -233,8 +233,9 @@ class AblationResult:
     accuracies: list[float]
     train_rows: int = 0
     eval_rows: int = 0
-    # The call's wall time and its training phases, summed over the betas;
-    # the loss fields stay empty.
+    # The call's wall time and its training phases, summed over the betas.
+    # The loss fields stay empty: the descent logs no per-epoch loss and
+    # proves each epoch's losses finite instead.
     phases: TrainReport = field(default_factory=TrainReport, compare=False, repr=False)
 
     def as_table(self) -> list[tuple[float, float]]:
@@ -283,7 +284,8 @@ def beta_ablation(
     targets = [build_targets(train_ds, table, b, base.temperature) for b in betas]
     phases.featurize_s = featurized - mark
     phases.targets_s = time.perf_counter() - featurized
-    columns, fitted = _fit(model, x_train, targets, base, phases, read=x_eval.indices)
+    columns, fitted = _fit(model, x_train, targets, base, phases, read=x_eval.indices,
+                           losses=False)
     eval_indices = _column_positions(columns, x_eval.indices, model.dimension)
     truth = _oracle_matrix(eval_ds, oracle)
     accuracies = []
@@ -341,6 +343,27 @@ def entropy_quality_analysis(
     correctness = correct.astype(np.float64)
     if np.all(correctness == correctness[0]) or np.all(entropies == entropies[0]):
         return EntropyAnalysis(pairs=pairs, correlation=None, degenerate=True)
-    from scipy import stats  # here, not at the top: it costs serving ~0.4 s of import
-    rho = float(stats.spearmanr(entropies, correctness).statistic)
+    rho = _spearman(entropies, correctness)
     return EntropyAnalysis(pairs=pairs, correlation=rho, degenerate=False)
+
+
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of values, each run of tied values sharing the mean of its ranks."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    ends = np.append(starts[1:], len(values))
+    ranks = np.empty(len(values))
+    ranks[order] = np.repeat((starts + ends + 1) / 2, ends - starts)
+    return ranks
+
+
+def _spearman(a: np.ndarray, b: np.ndarray) -> float:
+    """Spearman's rank correlation: the Pearson correlation of the tie-averaged ranks.
+
+    Neither column may be constant.
+    """
+    ra, rb = _average_ranks(a), _average_ranks(b)
+    ra -= ra.mean()
+    rb -= rb.mean()
+    return float(ra @ rb / np.sqrt((ra @ ra) * (rb @ rb)))

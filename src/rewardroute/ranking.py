@@ -13,8 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (DatasetRow, ModelRegistry, Query, RewardDataset, check_strings, read_json,
-                   to_number)
+from .data import (DatasetRow, ModelRegistry, Query, RewardDataset, check_seed, check_strings,
+                   read_json, to_number)
 from .errors import DataFormatError
 
 
@@ -56,6 +56,7 @@ class SyntheticSpec:
             raise ValueError(f"expertise margin must be positive, got {self.expertise_margin}")
         if self.noise_sigma < 0:
             raise ValueError("noise sigma must be non-negative")
+        check_seed(self.seed)
         for tag, vocab in self.clusters.items():
             if not vocab:
                 raise ValueError(f"cluster {tag!r} has an empty vocabulary")

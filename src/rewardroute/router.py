@@ -36,6 +36,13 @@ as x[idx] would, csr_matvecs computes xb @ W and csc_matvecs xb.T @ g.
 Same kernels, same inputs, same bits, without the per-call checks and
 object construction of scipy's operators, which cost more per mini-batch
 than the products themselves.
+
+train() reports every epoch's mean KL, so each of its epochs ends with a
+forward pass over all rows. The beta ablation reads no loss and skips
+that pass: each epoch ends instead with a cheap bound that proves every
+logit, and so every loss, finite (_FINITE_LOGIT_BOUND). The first time the
+bound fails, the descent restarts from its starting weights with the loss
+pass on, so a divergence is found and worded in one place.
 """
 
 from __future__ import annotations
@@ -46,7 +53,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .data import ModelRegistry, RewardDataset
+from .data import ModelRegistry, RewardDataset, check_seed
 from .errors import DivergenceError
 from .features import FeaturizerConfig, _hashed_chunks, featurize_matrix
 from .rewards import TagRewardTable, build_targets, check_beta, check_temperature, softmax_rows
@@ -64,6 +71,17 @@ MODEL_FORMAT_VERSION = 1
 # The untouched-column replay runs this many weights at a time through all
 # of its steps, so each chunk stays in cache.
 _DECAY_CHUNK = 2 ** 15
+
+# A descent that logs no loss ends each epoch with the check
+# max|W| * sum|x.data| + max|b| < _FINITE_LOGIT_BOUND in place of the loss
+# pass. It proves every loss of that epoch finite:
+# - |logit_i| <= sum_j |x_ij| * max|W| + max|b|, and float rounding adds at
+#   most a factor of (1 + 2**-53)**nnz, so every logit is finite.
+# - The max-subtracted softmax of finite logits is finite. _kl_rows clamps p
+#   at PROB_CLAMP before the log, and build_targets rejects non-finite
+#   targets, so every row's KL and their mean are finite.
+# - A NaN or an inf in W or b makes the comparison false.
+_FINITE_LOGIT_BOUND = 1e300
 
 # A CSR matrix as (indptr, indices, data, n_cols): what the descent hands to
 # scipy's compiled kernels in place of a scipy matrix object.
@@ -131,6 +149,7 @@ class TrainConfig:
         check_beta(self.beta)
         if self.l2_penalty < 0:
             raise ValueError("l2_penalty must be non-negative")
+        check_seed(self.seed)
 
 
 @dataclass
@@ -268,6 +287,7 @@ def _fit(
     config: TrainConfig,
     phases: TrainReport,
     read: np.ndarray | None = None,
+    losses: bool = True,
 ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray, list[float]]]]:
     """Train one router from model per target matrix on the rows x, in one lockstep descent.
 
@@ -275,9 +295,12 @@ def _fit(
     ones x touches; None means every column. The descent runs on x's
     columns and read's. The others are replayed (_decay) only when the
     caller reads them or an L2 step can make a weight grow (_l2_can_grow),
-    since that can end training. Returns the sorted ids of the columns the caller reads and, per target,
-    the C-ordered (K, |columns|) weights over them, the (K,) bias and the
-    epoch losses. Adds the descent's and the replay's times to phases.
+    since that can end training. Returns the sorted ids of the columns the
+    caller reads and, per target, the C-ordered (K, |columns|) weights over
+    them, the (K,) bias and the epoch losses. With losses=False the descent
+    logs no loss and proves finiteness instead (see _optimize), and each
+    target's loss list is empty. Adds the descent's and the replay's times
+    to phases.
     """
     start = time.perf_counter()
     n = x.shape[0]
@@ -294,11 +317,11 @@ def _fit(
         steps_per_epoch = -(-n // config.batch_size)
         decayed, nonfinite_epoch = _decay(model.weights[:, rest], steps_per_epoch, config)
     decay_s = time.perf_counter() - decay_start
-    block, bias, losses = _optimize(model.weights[:, columns], model.bias, x_columns, targets,
-                                    config, nonfinite_epoch)
+    block, bias, epoch_losses = _optimize(model.weights[:, columns], model.bias, x_columns,
+                                          targets, config, nonfinite_epoch, losses)
     k = model.num_models
     fitted = []
-    for b, target_losses in enumerate(losses):
+    for b, target_losses in enumerate(epoch_losses):
         weights = block[:, b * k:(b + 1) * k].T
         if read is None:
             full = np.empty_like(model.weights)
@@ -449,6 +472,7 @@ def _optimize(
     targets: list[np.ndarray],
     config: TrainConfig,
     nonfinite_epoch: int | None = None,
+    losses: bool = True,
 ) -> tuple[np.ndarray, np.ndarray, list[list[float]]]:
     """The gradient-descent loop of train(), on B target matrices in lockstep.
 
@@ -458,18 +482,27 @@ def _optimize(
     b*K to (b+1)*K - 1 are target b's transposed weights, the (B*K,) bias
     laid out the same way, and each target's epoch losses. When targets
     diverge, raises the DivergenceError of the first in list order, as
-    training them one after another would; an epoch past nonfinite_epoch,
-    when a replayed weight went non-finite, counts as diverged. A diverged
-    target's non-finite columns never enter another target's columns.
+    training them one after another would; the epoch nonfinite_epoch, at
+    whose end a replayed weight was non-finite, counts as diverged. A
+    diverged target's non-finite columns never enter another target's
+    columns.
+
+    With losses=False no epoch runs the loss pass, and the loss lists stay
+    empty. Each epoch ends with the _FINITE_LOGIT_BOUND check instead.
+    While it holds, and the epoch is not nonfinite_epoch, nothing can have
+    diverged. The first time it does not, the descent restarts from the
+    given weights and bias with losses=True and returns or raises what that
+    run gives, so the result is always that of losses=True.
     """
     (k, _), n, count = weights.shape, len(x[0]) - 1, len(targets)
     rng = np.random.default_rng(config.seed)
     # C-ordered, as the CSR kernels require.
     weights_t = np.concatenate([weights.T] * count, axis=1)
-    bias = np.concatenate([bias] * count)
+    biases = np.concatenate([bias] * count)
     stacked = np.concatenate(targets, axis=1)
+    data_l1 = None if losses else float(np.abs(x[2]).sum())  # read by the bound alone
 
-    losses: list[list[float]] = [[] for _ in targets]
+    epoch_losses: list[list[float]] = [[] for _ in targets]
     failures: list[DivergenceError | None] = [None] * count
     # Overflow is handled by the explicit finiteness check below, not warnings.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -477,11 +510,16 @@ def _optimize(
             order = rng.permutation(n).astype(x[0].dtype, copy=False)
             for lo in range(0, n, config.batch_size):
                 idx = order[lo:lo + config.batch_size]
-                _, grad_w, grad_b = _batch_grads(weights_t, bias, _csr_kernel("rows", x, idx),
+                _, grad_w, grad_b = _batch_grads(weights_t, biases, _csr_kernel("rows", x, idx),
                                                  stacked[idx], config.l2_penalty, k)
                 weights_t -= config.learning_rate * grad_w
-                bias -= config.learning_rate * grad_b
-            pred = _softmax_groups(_csr_kernel("matmul", x, weights_t) + bias, k)
+                biases -= config.learning_rate * grad_b
+            if not losses:
+                if epoch != nonfinite_epoch and (np.abs(weights_t).max() * data_l1
+                                                 + np.abs(biases).max() < _FINITE_LOGIT_BOUND):
+                    continue
+                return _optimize(weights, bias, x, targets, config, nonfinite_epoch)
+            pred = _softmax_groups(_csr_kernel("matmul", x, weights_t) + biases, k)
             # One contiguous row of per-query KL per target, so each mean sums
             # in the same order as a lone target's.
             kl = _kl_rows(pred.reshape(-1, k), stacked.reshape(-1, k)).reshape(n, count).T.copy()
@@ -491,10 +529,10 @@ def _optimize(
                     continue
                 epoch_loss = float(kl[b].mean())
                 if np.isfinite(epoch_loss) and weights_ok[b] and epoch != nonfinite_epoch:
-                    losses[b].append(epoch_loss)
+                    epoch_losses[b].append(epoch_loss)
                     continue
                 what = "weight" if np.isfinite(epoch_loss) else "loss"
-                last_finite = losses[b][-1] if losses[b] else None
+                last_finite = epoch_losses[b][-1] if epoch_losses[b] else None
                 failures[b] = DivergenceError(
                     f"training diverged (non-finite {what}) at learning_rate="
                     f"{config.learning_rate}; last finite loss was {last_finite}",
@@ -505,7 +543,7 @@ def _optimize(
     for failure in failures:
         if failure is not None:
             raise failure
-    return weights_t, bias, losses
+    return weights_t, biases, epoch_losses
 
 
 def route(model: RouterModel, text: str) -> tuple[str, np.ndarray]:

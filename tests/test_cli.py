@@ -491,6 +491,18 @@ def test_synth_seed_flag_overrides_spec(tmp_path, tiny_spec_file, capsys):
     assert default.read_bytes() != seeded.read_bytes()
 
 
+@pytest.mark.parametrize("subcommand", ["ablate", "synth"])
+def test_negative_seed_flag_is_a_usage_error(subcommand, tmp_path, tiny_spec_file, capsys):
+    out_data = tmp_path / "data.jsonl"
+    outputs = ["--out-data", str(out_data), "--out-oracle", str(tmp_path / "oracle.jsonl")]
+    argv = [subcommand, "--spec", tiny_spec_file, "--seed", "-1"]
+    code = main(argv + (outputs if subcommand == "synth" else []))
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.err == "error: seed must be a non-negative integer, got -1\n"
+    assert captured.out == "" and not out_data.exists()
+
+
 def test_synth_writes_registry(synth_files):
     registry = load_registry(synth_files["registry"])
     assert list(registry.ids) == ["m0", "m1", "m2"]

@@ -434,6 +434,111 @@ def test_beta_ablation_stops_where_unread_columns_diverge(monkeypatch):
     beta_ablation(TINY_SPEC, betas, epochs_before)
 
 
+def _spy_optimize(monkeypatch) -> list[bool]:
+    """Record the losses flag of every _optimize call, the restart's included."""
+    import rewardroute.router as router
+
+    flags = []
+    optimize = router._optimize
+
+    def spy(weights, bias, x, targets, config, nonfinite_epoch=None, losses=True):
+        flags.append(losses)
+        return optimize(weights, bias, x, targets, config, nonfinite_epoch, losses)
+
+    monkeypatch.setattr(router, "_optimize", spy)
+    return flags
+
+
+def test_beta_ablation_runs_no_loss_pass(monkeypatch):
+    import rewardroute.router as router
+
+    calls = []
+    kl_rows = router._kl_rows
+
+    def spy(pred, target):
+        calls.append(len(pred))
+        return kl_rows(pred, target)
+
+    monkeypatch.setattr(router, "_kl_rows", spy)
+    flags = _spy_optimize(monkeypatch)
+    config = TrainConfig(epochs=3, seed=2)
+    result = beta_ablation(TINY_SPEC, [0.0, 1.0], config)
+    assert calls == [] and flags == [False]
+    assert result.phases.epoch_losses == []
+    # train() reports every epoch's loss, so it still runs one pass an epoch
+    dataset, _ = make_synthetic_benchmark(TINY_SPEC)
+    train_ds, _ = holdout_split(dataset)
+    _, report = train(init_router(dataset.registry, seed=2), train_ds,
+                      aggregate_tag_rewards(train_ds), config)
+    assert calls == [len(train_ds)] * 3 and len(report.epoch_losses) == 3
+
+
+def _init_scaled_on(columns: np.ndarray, factor: float):
+    """init_router, with the given weight columns started factor times larger."""
+    def scaled_init(registry, featurizer_config=None, seed=0):
+        model = init_router(registry, featurizer_config, seed)
+        weights = model.weights.copy()
+        weights[:, columns] *= factor
+        return replace(model, weights=weights)
+    return scaled_init
+
+
+# At learning_rate 1e300 the untouched-column replay diverges too, and its
+# epoch forces the restart. With the train split's columns started near
+# 1e300 and lr * l2 = 3, only the descent diverges, so the finiteness bound
+# alone must force it.
+@pytest.mark.parametrize("factor, config", [
+    (1.0, TrainConfig(learning_rate=1e300, epochs=3, seed=2)),
+    (1e302, TrainConfig(learning_rate=0.1, l2_penalty=30, epochs=6, batch_size=16, seed=2)),
+], ids=["replay", "bound"])
+def test_beta_ablation_divergence_goes_through_the_restart(monkeypatch, factor, config):
+    import rewardroute.evaluation as evaluation
+
+    dataset, _ = make_synthetic_benchmark(TINY_SPEC)
+    train_ds, _ = holdout_split(dataset)
+    table = aggregate_tag_rewards(train_ds)
+    x = featurize_matrix(FeaturizerConfig(), [r.query.text for r in train_ds.rows])
+    scaled_init = _init_scaled_on(np.unique(x.indices), factor)
+    betas = [0.0, 1.0]
+    with pytest.raises(DivergenceError) as expected:  # each beta alone, in order
+        for b in betas:
+            train(scaled_init(dataset.registry, seed=2), train_ds, table, replace(config, beta=b))
+    monkeypatch.setattr(evaluation, "init_router", scaled_init)
+    flags = _spy_optimize(monkeypatch)
+    with pytest.raises(DivergenceError) as got:
+        beta_ablation(TINY_SPEC, betas, config)
+    assert flags == [False, True]
+    assert "non-finite loss" in str(got.value)
+    assert str(got.value) == str(expected.value)
+    assert got.value.last_finite_loss == expected.value.last_finite_loss
+
+
+def test_beta_ablation_restart_keeps_a_run_that_does_not_diverge(monkeypatch):
+    # The touched columns start near 1e300: too large for the finiteness
+    # bound, but every logit stays finite and nothing diverges.
+    import rewardroute.evaluation as evaluation
+
+    dataset, oracle = make_synthetic_benchmark(TINY_SPEC)
+    x = featurize_matrix(FeaturizerConfig(), [r.query.text for r in dataset.rows])
+    scaled_init = _init_scaled_on(np.unique(x.indices), 1e302)
+    config = TrainConfig(epochs=3, seed=2)
+    betas = [0.0, 1.0]
+    train_ds, eval_ds = holdout_split(dataset)
+    table = aggregate_tag_rewards(train_ds)
+    expected = []
+    for b in betas:
+        trained, report = train(scaled_init(dataset.registry, seed=2), train_ds, table,
+                                replace(config, beta=b))
+        assert np.all(np.isfinite(report.epoch_losses))
+        assert np.all(np.isfinite(x @ trained.weights.T + trained.bias))
+        expected.append(routing_accuracy(trained, eval_ds, oracle))
+    monkeypatch.setattr(evaluation, "init_router", scaled_init)
+    flags = _spy_optimize(monkeypatch)
+    result = beta_ablation(TINY_SPEC, betas, config)
+    assert flags == [False, True]
+    assert result.accuracies == expected
+
+
 def test_beta_ablation_rejects_out_of_range():
     with pytest.raises(ValueError, match="beta"):
         beta_ablation(TINY_SPEC, [0.0, 1.2], TrainConfig(epochs=1))
@@ -458,6 +563,51 @@ def test_entropy_analysis_negative_on_noisy_planted_benchmark():
     assert analysis.correlation < 0
     assert len(analysis.pairs) == len(dataset)
     assert all({"entropy", "rmr_correct"} <= set(r) for r in analysis.to_records())
+
+
+def test_spearman_matches_scipy_on_tied_columns():
+    from scipy import stats
+
+    from rewardroute.evaluation import _spearman
+
+    rng = np.random.default_rng(0)
+    for n in (2, 3, 10, 57, 400):
+        for _ in range(20):
+            correct = (rng.random(n) < 0.6).astype(np.float64)
+            entropies = rng.integers(0, 4, n) * 0.25  # few values, so many ties
+            if np.all(correct == correct[0]) or np.all(entropies == entropies[0]):
+                continue
+            for a, b in ((entropies, correct), (rng.normal(size=n), correct),
+                         (entropies, rng.normal(size=n))):
+                assert _spearman(a, b) == pytest.approx(stats.spearmanr(a, b).statistic,
+                                                        abs=1e-12, rel=0)
+
+
+_ENTROPY_IMPORTS_SCRIPT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from conftest import TINY_SPEC
+from dataclasses import replace
+from rewardroute import entropy_quality_analysis, make_synthetic_benchmark
+analysis = entropy_quality_analysis(*make_synthetic_benchmark(replace(TINY_SPEC, noise_sigma=2.0)))
+assert not analysis.degenerate
+print('scipy.stats' in sys.modules)
+"""
+
+
+def test_entropy_analysis_imports_no_scipy_stats():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import rewardroute
+
+    env = {**os.environ, "PYTHONPATH": str(Path(rewardroute.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", _ENTROPY_IMPORTS_SCRIPT,
+                          str(Path(__file__).parent)],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_entropy_analysis_degenerate_when_noiseless():

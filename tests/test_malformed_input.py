@@ -132,6 +132,9 @@ CASES = [
     Case("spec seed 4.7", {"spec.json": _json({**SPEC, "seed": 4.7})},
          lambda d: SyntheticSpec.from_file(d / "spec.json"), _synth,
          r"spec\.json: 'seed' must be an integer, got 4\.7"),
+    Case("spec seed -1", {"spec.json": _json({**SPEC, "seed": -1})},
+         lambda d: SyntheticSpec.from_file(d / "spec.json"), _synth,
+         r"spec\.json is malformed: seed must be a non-negative integer, got -1"),
     Case("spec noise_sigma '0.1'", {"spec.json": _json({**SPEC, "noise_sigma": "0.1"})},
          lambda d: SyntheticSpec.from_file(d / "spec.json"), _synth,
          r"spec\.json: 'noise_sigma' must be a number, got '0\.1'"),

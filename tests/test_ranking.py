@@ -113,6 +113,12 @@ def test_synthetic_spec_validation():
         SyntheticSpec(**{**good, "num_models": 3})
 
 
+def test_synthetic_spec_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got -1$"):
+        SyntheticSpec(num_models=2, clusters={"x": ["ash"], "y": ["fir"]},
+                      queries_per_cluster=5, expertise_margin=1.0, noise_sigma=0.1, seed=-1)
+
+
 def test_synthetic_spec_explicit_expertise_map():
     spec = SyntheticSpec(
         num_models=3,

@@ -626,6 +626,11 @@ def test_train_config_rejects_non_finite_numbers(name, value):
         TrainConfig(**{name: value})
 
 
+def test_train_config_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got -1$"):
+        TrainConfig(seed=-1)
+
+
 def test_train_rejects_registry_mismatch():
     ds = _overfit_dataset()
     table = aggregate_tag_rewards(ds)
