@@ -84,7 +84,9 @@ def deserialize_model(blob: bytes) -> RouterModel:
             raise CheckpointError(
                 f"checkpoint parameter block has {len(body)} bytes, expected {expected}"
             )
-        weights = np.frombuffer(body[:k * d * 8], dtype="<f8").reshape(k, d).copy()
+        # The file is row-major; the one copy lays the weights out column-major,
+        # as RouterModel holds them.
+        weights = np.frombuffer(body[:k * d * 8], dtype="<f8").reshape(k, d).copy(order="F")
         bias = np.frombuffer(body[k * d * 8:], dtype="<f8").copy()
         return RouterModel(
             weights=weights,

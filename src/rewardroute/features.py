@@ -12,23 +12,35 @@ chunk at once:
 
 - Rows: a text is lowercased; a blank (whitespace-only) one
   gives an all-zero row and contributes no units.
+- Units: a sequence of units is runs of bytes. Its layout for FNV-1a
+  (_Runs: the first byte of every unit, the runs longer than one byte in
+  longest-first order with the bytes each numpy pass steps, and the bytes
+  of the few long runs left to Python ints) is computed once per sequence
+  and chunk, and every n-gram order extends its states through it.
+- States are end-aligned: the order-n state at unit e is the n-gram that
+  ends at e, the order n-1 state at e - 1 continued over unit e. So every
+  order extends over the same units; the first n - 1 states of order n
+  start before the sequence and are dropped.
 - Char n-grams: the chunk's texts are laid end to end in UTF-8, and a code
-  point starts at every byte that is not a continuation byte. Every position
-  starts from the state of the "c#" prefix; order n extends the order n-1
-  states by the bytes of the n-th code point, so orders 1..hi take hi rounds.
+  point starts at every byte that is not a continuation byte. Order 1
+  starts from the state of the "c#" prefix, and orders 1..hi take hi
+  extensions.
 - Word n-grams: the words of every text's ``text.split()`` are joined by
-  single spaces, so every word n-gram is one contiguous slice of those bytes.
-  Order 1 hashes each word; order n continues the order n-1 state over the
-  separating space and the next word.
+  single spaces, so each word is one run between separators. Order 1
+  hashes each word; order n continues the order n-1 state over the
+  separating space, then the next word.
 - Every unit (code point or word) is tagged with its text, and an n-gram
   whose first and last units belong to different texts is dropped. The
   rest become keys ``row * dimension + bucket``, counted with one
   ``np.unique``; each row's counts, divided by their own norm, are its
-  weights, so a row is bit-identical to the row featurized alone.
+  weights, so a row is bit-identical to the row featurized alone. The
+  bucket is ``hash % dimension``, taken as a mask when the dimension is a
+  power of two.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import chain
 from typing import TYPE_CHECKING
@@ -70,7 +82,7 @@ _CHAR_SEED = np.uint64(stable_hash(CHAR_PREFIX))
 # working arrays stay a few MiB however many texts it holds.
 _CHUNK_BYTES = 2 ** 15
 
-# _extend steps this many long runs or fewer in Python ints, not numpy passes.
+# _Runs steps this many long runs or fewer in Python ints, not numpy passes.
 _TAIL_RUNS = 8
 
 # The one recipe: every non-blank text is lowercased, then hashed into word
@@ -107,102 +119,133 @@ class FeaturizerConfig:
         return config
 
 
-def _extend(h: np.ndarray, data: np.ndarray, first: np.ndarray,
-            width: np.ndarray) -> np.ndarray:
-    """Continue each FNV-1a state h[k] over the bytes data[first[k]:first[k] + width[k]].
+class _Runs:
+    """FNV-1a over a sequence of units, each a run of bytes data[first[k]:first[k] + width[k]].
 
-    Every run holds at least one byte. The runs longer than that are then
-    visited longest first, so pass j steps a prefix of them and the passes'
-    work is the bytes. Once _TAIL_RUNS or fewer runs are longer than the
-    pass, they finish byte by byte in Python ints, so one long word costs
-    its bytes, not one numpy pass each. uint64 array arithmetic wraps mod
-    2**64, as FNV-1a requires.
+    Everything that depends only on the units is laid out once: the first
+    byte of every unit, the runs longer than one byte in longest-first order
+    with the bytes each numpy pass steps, and the bytes of the few runs the
+    passes leave to Python ints. extend() then continues any states over
+    those units at the cost of the passes alone, so every n-gram order of a
+    sequence shares one layout.
     """
-    h = (h ^ data[first]) * _PRIME
-    longer = np.flatnonzero(width > 1)
-    if longer.size:
+
+    def __init__(self, data: np.ndarray, first: np.ndarray, width: np.ndarray):
+        self.head = data[first].astype(np.uint64)
+        longer = np.flatnonzero(width > 1)
         longer = longer[np.argsort(-width[longer], kind="stable")]
         # left[j - 1] runs are longer than j bytes, for j = 1 .. longest - 1
         left = (longer.size - np.cumsum(np.bincount(width[longer]))[1:-1]).tolist()
-        hl, fl = h[longer], first[longer]
+        fl = first[longer]
         passes = [n for n in left if n > _TAIL_RUNS]  # left never increases
-        for j, n in enumerate(passes, start=1):
-            hl[:n] ^= data[fl[:n] + j]
-            hl[:n] *= _PRIME
-        done = len(passes) + 1  # bytes of every run hashed so far
-        for k in range(left[done - 1] if done <= len(left) else 0):
-            state = int(hl[k])
-            for byte in data[fl[k] + done:fl[k] + width[longer[k]]].tolist():
-                state = ((state ^ byte) * FNV_PRIME) & _U64
-            hl[k] = state
-        h[longer] = hl
-    return h
+        # pass j steps byte j of the n longest runs
+        self.steps = [data[fl[:n] + j].astype(np.uint64) for j, n in enumerate(passes, start=1)]
+        done = len(passes) + 1  # bytes of every run the passes hash
+        tail = left[done - 1] if done <= len(left) else 0
+        ends = fl[:tail] + width[longer[:tail]]
+        self.tails = [data[f + done:e].tolist() for f, e in zip(fl[:tail].tolist(), ends.tolist())]
+        self.longer = longer
+
+    def extend(self, h: np.ndarray) -> np.ndarray:
+        """Continue each FNV-1a state h[k] over the bytes of unit k.
+
+        The runs longer than one byte are visited longest first, so pass j
+        steps a prefix of them and the passes' work is the bytes. Once
+        _TAIL_RUNS or fewer are longer than the pass, they finish byte by
+        byte in Python ints, so one long word costs its bytes, not one numpy
+        pass each. uint64 array arithmetic wraps mod 2**64, as FNV-1a requires.
+        """
+        h = (h ^ self.head) * _PRIME
+        if self.longer.size:
+            hl = h[self.longer]
+            for step in self.steps:
+                part = hl[:step.size]
+                part ^= step
+                part *= _PRIME
+            for k, tail in enumerate(self.tails):
+                state = int(hl[k])
+                for byte in tail:
+                    state = ((state ^ byte) * FNV_PRIME) & _U64
+                hl[k] = state
+            h[self.longer] = hl
+        return h
 
 
-def _grams(h: np.ndarray, row: np.ndarray, data: np.ndarray, first: np.ndarray,
-           width: np.ndarray, orders: tuple[int, int], dim: np.uint64) -> list[np.ndarray]:
-    """Keys row * dim + bucket of the n-grams of orders lo..hi over a sequence of units.
+def _buckets(h: np.ndarray, dimension: int) -> np.ndarray:
+    """h % dimension; a mask when the dimension is a power of two, which gives the same bits."""
+    mask = dimension - 1
+    return h & np.uint64(mask) if dimension & mask == 0 else h % np.uint64(dimension)
 
-    h holds the order-1 state of each unit and row the text it belongs to.
-    Order n continues the order n-1 state that starts at unit i over the
-    bytes data[first[i+n-1]:][:width[i+n-1]]; of those grams it keeps the
-    ones whose first and last units belong to the same text.
+
+def _grams(runs: _Runs, seed: int, row: np.ndarray, orders: tuple[int, int], dimension: int,
+           joiner: int | None = None) -> list[np.ndarray]:
+    """Keys row * dimension + bucket of the n-grams of orders lo..hi over a sequence of units.
+
+    row holds the text each unit belongs to. The states are end-aligned: the
+    order-n state at unit e is the n-gram ending at e, the order n-1 state at
+    e - 1 continued over the joiner byte, if any, and then over unit e
+    through runs' one layout. Of order n, the first n - 1 states start
+    before the sequence and are dropped, and so is a gram whose first and
+    last units belong to different texts.
     """
     lo, hi = orders
-    offset = row * dim
-    keys = [offset + h % dim] if lo == 1 else []
-    for n in range(2, min(hi, len(h)) + 1):
-        h = _extend(h[:-1], data, first[n - 1:], width[n - 1:])
+    offset = row * np.uint64(dimension)
+    h = np.full(row.size, seed, dtype=np.uint64)
+    keys = []
+    for n in range(1, min(hi, row.size) + 1):
+        if n > 1:
+            h = np.concatenate((h[-1:], h[:-1]))  # h[e]: the order n-1 state at e - 1
+            if joiner is not None:
+                h = (h ^ np.uint64(joiner)) * _PRIME
+        h = runs.extend(h)
         if n >= lo:
-            same = row[:h.size] == row[n - 1:]
-            keys.append((offset[:h.size] + h % dim)[same])
+            same = row[n - 1:] == row[:row.size - n + 1]
+            keys.append((offset[n - 1:] + _buckets(h[n - 1:], dimension))[same])
     return keys
 
 
-def _word_keys(texts: list[str], dim: np.uint64) -> list[np.ndarray]:
+def _word_keys(texts: list[str], dimension: int) -> list[np.ndarray]:
     words = [text.split() for text in texts]
     # Words hold no whitespace, so the only 0x20 bytes of the joined words are
-    # the separators, and an n-gram's bytes are one contiguous slice of them.
-    joined = " ".join(chain.from_iterable(words)).encode("utf-8")
-    data = np.frombuffer(joined, dtype=np.uint8)
+    # the separators, and each word is the run between two of them.
+    data = np.frombuffer(" ".join(chain.from_iterable(words)).encode("utf-8"), dtype=np.uint8)
     sep = np.flatnonzero(data == 0x20)
     first = np.concatenate(([0], sep + 1))
     width = np.append(sep, data.size) - first
-    data = data.astype(np.uint64)
-    h = _extend(np.full(first.size, FNV_OFFSET, dtype=np.uint64), data, first, width)
     row = np.repeat(np.arange(len(texts), dtype=np.uint64), [len(w) for w in words])
-    # Order n > 1 continues over the separating space and the next word.
-    return _grams(h, row, data, first - 1, width + 1, WORD_ORDERS, dim)
+    # Order n > 1 continues over the separating space, then the next word.
+    return _grams(_Runs(data, first, width), FNV_OFFSET, row, WORD_ORDERS, dimension,
+                  joiner=0x20)
 
 
-def _char_keys(texts: list[str], utf8: bytes, dim: np.uint64) -> list[np.ndarray]:
+def _char_keys(texts: list[str], utf8: bytes, dimension: int) -> list[np.ndarray]:
     data = np.frombuffer(utf8, dtype=np.uint8)
     # A code point starts at every byte that is not a continuation byte 10xxxxxx.
     first = np.flatnonzero((data & 0xC0) != 0x80)
-    width = np.diff(first, append=data.size)
-    data = data.astype(np.uint64)
-    h = _extend(np.full(first.size, _CHAR_SEED, dtype=np.uint64), data, first, width)
+    width = np.append(first[1:], data.size) - first
     row = np.repeat(np.arange(len(texts), dtype=np.uint64), [len(text) for text in texts])
-    return _grams(h, row, data, first, width, CHAR_ORDERS, dim)
+    return _grams(_Runs(data, first, width), _CHAR_SEED, row, CHAR_ORDERS, dimension)
 
 
 def _hash_chunk(config: FeaturizerConfig, texts: list[str], utf8: list[bytes],
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row lengths, bucket indices and weights of a few texts ("" for a blank one)."""
-    dim = np.uint64(config.dimension)
+    dimension = config.dimension
     keys = [np.empty(0, dtype=np.uint64)]
     if any(texts):  # a blank text has no word and no code point
-        keys += _word_keys(texts, dim) + _char_keys(texts, b"".join(utf8), dim)
+        keys += _word_keys(texts, dimension) + _char_keys(texts, b"".join(utf8), dimension)
     keys, counts = np.unique(np.concatenate(keys), return_counts=True)
-    offsets = np.arange(len(texts) + 1, dtype=np.uint64) * dim
+    offsets = np.arange(len(texts) + 1, dtype=np.uint64) * np.uint64(dimension)
     bounds = np.searchsorted(keys, offsets)
     lengths = np.diff(bounds)
     weights = counts.astype(np.float64)
     ends = bounds.tolist()
     for lo, hi in zip(ends, ends[1:]):
         if hi > lo:
-            # one norm per row keeps each row's bits those of the row alone
-            weights[lo:hi] /= np.linalg.norm(weights[lo:hi])
+            # one norm per row keeps each row's bits those of the row alone;
+            # sqrt(w . w) is np.linalg.norm's own formula for a 1-D float64 row
+            w = weights[lo:hi]
+            w /= math.sqrt(w.dot(w))
     return lengths, keys - np.repeat(offsets[:-1], lengths), weights
 
 

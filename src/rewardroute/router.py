@@ -10,6 +10,9 @@ bit-identical trained models.
 
 train() and the beta ablation both train through _fit, and forward(),
 route() and the ablation's scoring all gather through _gather_forward.
+RouterModel holds its (K, D) weights column-major, so weights.T is a
+C-ordered (D, K) and a query's columns are whole rows of it: the gather
+takes K adjacent floats per feature instead of K strided ones.
 
 Training works on the feature columns the training rows touch: a few
 thousand of the 65,536 hashed columns. The descent runs on those columns
@@ -92,14 +95,14 @@ _Csr = tuple[np.ndarray, np.ndarray, np.ndarray, int]
 class RouterModel:
     """Immutable router parameters plus everything needed to reproduce inference."""
 
-    weights: np.ndarray  # (K, D) float64
+    weights: np.ndarray  # (K, D) float64, column-major: weights.T is a C-ordered (D, K)
     bias: np.ndarray     # (K,) float64
     featurizer_config: FeaturizerConfig
     registry: ModelRegistry
     version: int = MODEL_FORMAT_VERSION
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
+        w = np.asarray(self.weights, dtype=np.float64, order="F")  # no copy if it already is
         b = np.asarray(self.bias, dtype=np.float64)
         k = len(self.registry)
         if k < 2:
@@ -142,10 +145,10 @@ class TrainConfig:
         check_temperature(self.temperature)
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        if self.epochs < 1:
-            raise ValueError("epochs must be a positive integer")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be a positive integer")
+        for name in ("epochs", "batch_size"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
         check_beta(self.beta)
         if self.l2_penalty < 0:
             raise ValueError("l2_penalty must be non-negative")
@@ -174,7 +177,11 @@ def init_router(
     """Fresh router: weights uniform in [-0.01, 0.01] from the seed, bias zero."""
     config = featurizer_config or FeaturizerConfig()
     rng = np.random.default_rng(seed)
-    weights = rng.uniform(-INIT_SCALE, INIT_SCALE, size=(len(registry), config.dimension))
+    # Drawn row by row into the column-major layout RouterModel keeps: the
+    # draws of one (K, D) call in its order, without a row-major copy.
+    weights = np.empty((len(registry), config.dimension), order="F")
+    for row in weights:
+        row[:] = rng.uniform(-INIT_SCALE, INIT_SCALE, size=config.dimension)
     bias = np.zeros(len(registry), dtype=np.float64)
     return RouterModel(weights=weights, bias=bias, featurizer_config=config,
                        registry=registry)
@@ -196,11 +203,18 @@ def forward(model: RouterModel, x: sparse.csr_matrix) -> np.ndarray:
 
 def _gather_forward(weights: np.ndarray, bias: np.ndarray, indptr, indices: np.ndarray,
                     data: np.ndarray) -> np.ndarray:
-    """forward() on a batch's CSR arrays and a C-ordered (K, width) weight matrix."""
+    """forward() on a batch's CSR arrays and a column-major (K, width) weight matrix.
+
+    A column of column-major weights is one contiguous row of weights.T, so
+    take() copies K adjacent floats per index. Its .T is the same column-major
+    (K, n) matrix the fancy index weights[:, idx] builds, so the product's bits
+    are those of that index.
+    """
+    rows = weights.T
     logits = np.empty((len(indptr) - 1, weights.shape[0]), dtype=np.float64)
     for i in range(len(logits)):
         lo, hi = indptr[i], indptr[i + 1]
-        logits[i] = weights[:, indices[lo:hi]] @ data[lo:hi]
+        logits[i] = rows.take(indices[lo:hi], axis=0).T @ data[lo:hi]
     return softmax_rows(logits + bias)
 
 
@@ -296,7 +310,7 @@ def _fit(
     columns and read's. The others are replayed (_decay) only when the
     caller reads them or an L2 step can make a weight grow (_l2_can_grow),
     since that can end training. Returns the sorted ids of the columns the
-    caller reads and, per target, the C-ordered (K, |columns|) weights over
+    caller reads and, per target, the column-major (K, |columns|) weights over
     them, the (K,) bias and the epoch losses. With losses=False the descent
     logs no loss and proves finiteness instead (see _optimize), and each
     target's loss list is empty. Adds the descent's and the replay's times
@@ -327,7 +341,7 @@ def _fit(
             full = np.empty_like(model.weights)
             full[:, columns], full[:, rest] = weights, decayed
             weights = full
-        fitted.append((np.ascontiguousarray(weights), bias[b * k:(b + 1) * k], target_losses))
+        fitted.append((np.asfortranarray(weights), bias[b * k:(b + 1) * k], target_losses))
     phases.decay_s += decay_s
     phases.optimize_s += time.perf_counter() - start - decay_s
     return read_columns, fitted

@@ -142,7 +142,23 @@ def test_parse_copies_the_parameters_once():
     assert loaded.weights.tobytes() == model.weights.tobytes()
     # Writeable and owning its data: no view keeps the file's bytes alive.
     assert loaded.weights.flags.writeable and loaded.weights.flags.owndata
+    # That one copy is already the column-major layout RouterModel keeps.
+    assert loaded.weights.flags.f_contiguous
     assert loaded.bias.flags.writeable and loaded.bias.flags.owndata
+
+
+def test_router_model_holds_one_column_major_copy_of_the_weights():
+    model = _model()
+    assert model.weights.flags.f_contiguous
+    # A column-major float64 matrix is kept as it is, not copied again.
+    again = type(model)(weights=model.weights, bias=model.bias,
+                        featurizer_config=model.featurizer_config, registry=model.registry)
+    assert again.weights is model.weights
+    # The file stays row-major whatever the layout in memory.
+    k, d = model.weights.shape
+    blob = serialize_model(model)
+    body = blob[-32 - (k * d + k) * 8:-32 - k * 8]
+    assert body == np.ascontiguousarray(model.weights).astype("<f8").tobytes()
 
 
 def test_loaded_model_routes_identically(tmp_path):

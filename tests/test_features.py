@@ -1,4 +1,5 @@
 import hashlib
+import math
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -424,12 +425,30 @@ def test_extend_finishes_a_few_long_runs_in_python_ints():
     widths = np.concatenate([rng.integers(1, 6, 20),
                              [3000, 2500, 2200, 1800, 1500, 900, 640, 300, 200, 120, 80]])
     rng.shuffle(widths)
-    data = rng.integers(0, 256, int(widths.sum()), dtype=np.uint64)
+    data = rng.integers(0, 256, int(widths.sum()), dtype=np.uint8)
     first = np.concatenate(([0], np.cumsum(widths)[:-1]))
+    runs = features._Runs(data, first, widths)
+    assert len(runs.tails) == 8 and all(runs.tails)
+    assert runs.steps[-1].size == 9 and {11, 10, 9} <= {step.size for step in runs.steps}
     start = np.full(widths.size, FNV_OFFSET, dtype=np.uint64)
-    got = features._extend(start, data, first, widths)
-    want = [reference_fnv1a(bytes(data[f:f + w].tolist())) for f, w in zip(first, widths)]
-    assert got.tolist() == want
+    got = runs.extend(start)
+    runs_bytes = [bytes(data[f:f + w].tolist()) for f, w in zip(first, widths)]
+    assert got.tolist() == [reference_fnv1a(b) for b in runs_bytes]
+    # The layout is built once and only read: a second extend continues
+    # every state over its run again.
+    assert runs.extend(got).tolist() == [reference_fnv1a(b + b) for b in runs_bytes]
+
+
+def test_row_norm_is_bitwise_numpys_norm():
+    # Each row is divided by math.sqrt(w.dot(w)), numpy's own 1-D float64
+    # norm: the same bits on rows of 1 to 6000 entries, counts or not.
+    rng = np.random.default_rng(8)
+    for size in [*range(1, 300), *rng.integers(300, 6001, 150).tolist(), 6000]:
+        w = rng.integers(1, 40, size).astype(np.float64)
+        if size % 3 == 0:
+            w *= rng.random(size)
+        assert math.sqrt(w.dot(w)) == np.linalg.norm(w), size
+        assert (w / math.sqrt(w.dot(w))).tobytes() == (w / np.linalg.norm(w)).tobytes(), size
 
 
 def test_row_times_dimension_key_cannot_wrap():
@@ -458,11 +477,73 @@ def test_featurizing_the_acceptance_texts_stays_in_bounded_memory():
     assert peak <= 12 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
 
 
+def _fixed_router():
+    model = init_router(ModelRegistry(("m0", "m1", "m2", "m3")), FeaturizerConfig(), seed=5)
+    return replace(model, bias=np.array([0.25, -0.5, 0.0, 0.125]))
+
+
+# sha256 of forward()'s probability bytes for _fixed_router over each text
+# set, recorded with the row-major weights and the fancy-index gather.
+# numpy's matrix-vector product sums in the order of the BLAS kernel it
+# runs, so the bits are those of one OpenBLAS kernel family (which
+# OPENBLAS_CORETYPE selects); each entry holds one family's digests. A hash,
+# bucket, gather or product that moves one bit of one probability matches
+# no entry. np.exp in the softmax has other bits under numpy's AVX2 kernels
+# than under its AVX-512 ones, as the checkpoint digests do (ROADMAP item
+# 6); these are the AVX-512 kernels' digests.
+_LONG_ROUTING = "d2bf73da066d23b9fdc0379a746dfc5c88bdc1f92515c55e4ea77c4b3cd5889e"
+GOLDEN_ROUTING = {
+    "SkylakeX, CooperLake, SapphireRapids": {
+        "long": _LONG_ROUTING,
+        "sample": "4e4197db1e02c8602250429ea59e963628902cb2bfbea79e0441ac980156b02b",
+        "synth": "9e93747a28a9bacbf2e7f6d8546256fa6ade699981cb50e5c0c4f71bdcd417bc",
+    },
+    "Haswell, Zen": {
+        "long": _LONG_ROUTING,
+        "sample": "738dde38825f94a3f067c01876b096aa25dec81a399607cb64f7e2d733ef7d16",
+        "synth": "6ac50d258f44452011600bba97ee29c86c1af38a9465c4233482a3430eb51e41",
+    },
+    "Sandybridge, Bulldozer to Excavator, Prescott to Dunnington, Opteron": {
+        "long": _LONG_ROUTING,
+        "sample": "e19fdae01ff62301170991be766204d09df571795fd2d8d2351c506f3485e004",
+        "synth": "43c34ac1a2cdebb086aaf566f6bbf070a8b34a5156995d33457f38fdb1766bde",
+    },
+    "Nehalem, Atom, Barcelona, Bobcat": {
+        "long": _LONG_ROUTING,
+        "sample": "4e4197db1e02c8602250429ea59e963628902cb2bfbea79e0441ac980156b02b",
+        "synth": "e8883a66083b01144f1bf5261c36ae5e1e64f3f5fdf8d697b55c32f77cc8dba7",
+    },
+}
+
+
+def test_forward_probability_golden_digests():
+    model = _fixed_router()
+    digests = {}
+    for name in sorted(GOLDEN_DIGESTS):
+        probs = forward(model, featurize_matrix(model.featurizer_config, _golden_texts(name)))
+        digests[name] = hashlib.sha256(probs.tobytes()).hexdigest()
+    assert digests in GOLDEN_ROUTING.values()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
+def test_forward_equals_the_row_major_fancy_index_gather_bitwise(name):
+    # The gather as it was on row-major weights, written out here: it runs
+    # through whatever BLAS kernel this machine has, as forward() does.
+    model = _fixed_router()
+    x = featurize_matrix(model.featurizer_config, _golden_texts(name))
+    row_major = np.ascontiguousarray(model.weights)
+    logits = np.array([row_major[:, x.indices[lo:hi]] @ x.data[lo:hi]
+                       for lo, hi in zip(x.indptr, x.indptr[1:])])
+    z = logits + model.bias
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    want = e / e.sum(axis=1, keepdims=True)
+    assert forward(model, x).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
 def test_route_equals_forward_on_the_batch_bitwise(name):
     texts = _golden_texts(name)
-    model = init_router(ModelRegistry(("m0", "m1", "m2", "m3")), FeaturizerConfig(), seed=5)
-    model = replace(model, bias=np.array([0.25, -0.5, 0.0, 0.125]))
+    model = _fixed_router()
     probs = forward(model, featurize_matrix(model.featurizer_config, texts))
     for i, text in enumerate(texts):
         model_id, one = route(model, text)

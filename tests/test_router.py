@@ -1,7 +1,9 @@
 import json
 import math
+import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -517,7 +519,7 @@ def test_lockstep_descent_matches_each_target_alone_bitwise(tiny_benchmark, coun
     assert len(fitted) == count
     for target, (weights, bias, losses) in zip(targets, fitted):
         assert weights.shape == model.weights.shape
-        assert weights.flags.c_contiguous
+        assert weights.flags.f_contiguous
         _, [(alone_weights, alone_bias, alone_losses)] = _fit(model, x, [target], config,
                                                               TrainReport())
         assert weights.tobytes() == alone_weights.tobytes()
@@ -631,6 +633,21 @@ def test_train_config_rejects_a_negative_seed():
         TrainConfig(seed=-1)
 
 
+@pytest.mark.parametrize("name", ["epochs", "batch_size"])
+@pytest.mark.parametrize("value", [2.5, 3.0, True, "4", None, 0, -2])
+def test_train_config_rejects_a_count_that_is_not_a_positive_integer(name, value):
+    # Unchecked, a float or bool count reaches the descent and fails there
+    # with a TypeError that names no field.
+    with pytest.raises(ValueError,
+                       match=rf"^{name} must be a positive integer, got {re.escape(repr(value))}$"):
+        TrainConfig(**{name: value})
+
+
+def test_train_config_takes_numpy_integer_counts():
+    config = TrainConfig(epochs=np.int64(3), batch_size=np.int32(8))
+    assert (config.epochs, config.batch_size) == (3, 8)
+
+
 def test_train_rejects_registry_mismatch():
     ds = _overfit_dataset()
     table = aggregate_tag_rewards(ds)
@@ -671,6 +688,22 @@ def test_route_prefers_matching_expertise(tiny_model, tiny_benchmark):
 def test_train_config_validation(field, value):
     with pytest.raises(ValueError):
         TrainConfig(**{field: value})
+
+
+def test_init_router_draws_straight_into_the_column_major_layout():
+    reg = ModelRegistry(tuple(f"m{i}" for i in range(6)))
+    tracemalloc.start()
+    try:
+        model = init_router(reg, FeaturizerConfig(dimension=2 ** 16), seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The weights plus one row of draws (1/6) or the isfinite mask (1/8);
+    # drawing row-major and copying would peak at twice the weights.
+    assert peak <= 1.5 * model.weights.nbytes, f"peak {peak / model.weights.nbytes:.2f}x"
+    assert model.weights.flags.f_contiguous
+    one_call = np.random.default_rng(3).uniform(-0.01, 0.01, size=(6, 2 ** 16))
+    assert model.weights.tobytes() == one_call.tobytes()
 
 
 def test_init_router_seeded_and_bounded():
