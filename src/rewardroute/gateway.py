@@ -12,11 +12,15 @@ Endpoints:
     GET  /metrics        text exposition of counters and latency percentiles
     POST /admin/reload   {"checkpoint_path"} swaps the model snapshot atomically
 
-The router snapshot is immutable and shared read-only across handler
-threads; reload replaces the reference, and in-flight requests finish on
-the snapshot they started with. Admission is a bounded gate: when
+Each connection is accepted and served by the same handler thread. The
+threads start as they are needed, one more whenever the last idle one takes
+a connection, up to max_in_flight + 1, and are reused for later
+connections; while every one is busy, new connections wait in the listen
+backlog. The router snapshot is immutable and shared read-only across
+handler threads; reload replaces the reference, and in-flight requests
+finish on the snapshot they started with. Admission is a bounded gate: when
 max_in_flight requests are already being handled, new ones get 503
-immediately instead of queuing.
+immediately instead of queuing, from the one thread the cap keeps for it.
 
 A /route or /generate request takes one path: read the query, route it
 once, then (for /generate) call the chosen backend. A backend call ends in
@@ -37,7 +41,9 @@ once on a new connection within the same budget; a timeout, or a failure
 after a reply has begun, never is. shutdown() closes the idle connections.
 
 _HTTPServer, _JSONHandler and _query are shared with the stub backend:
-both servers bind, serve on one thread and stop the same way.
+both servers bind the same way and read bodies and queries by one rule.
+The stub backend keeps a thread per connection, since its clients hold
+their connections open.
 """
 
 from __future__ import annotations
@@ -46,13 +52,14 @@ import hashlib
 import http.client
 import json
 import logging
+import socket
 import sys
 import threading
 import time
 import uuid
 from collections import deque
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 from urllib.parse import urlsplit
 
@@ -168,7 +175,8 @@ class Metrics:
                 "in_flight": self.in_flight,
             }
 
-    def render_text(self) -> str:
+    def render_text(self, handler_threads: int, handler_threads_busy: int) -> str:
+        """The exposition text, with the server's handler-thread gauges appended."""
         snap = self.snapshot()
         lines = []
         for model_id in sorted(snap["routed"]):
@@ -182,6 +190,8 @@ class Metrics:
                 lines.append(f'gateway_latency_ms{{quantile="{q}"}} {snap[key]:.3f}')
         lines.append(f"gateway_latency_ms_count {snap['latency_ms_count']}")
         lines.append(f"gateway_in_flight {snap['in_flight']}")
+        lines.append(f"gateway_handler_threads {handler_threads}")
+        lines.append(f"gateway_handler_threads_busy {handler_threads_busy}")
         return "\n".join(lines) + "\n"
 
 
@@ -189,30 +199,21 @@ def query_hash(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
-class _HTTPServer(ThreadingHTTPServer):
+class _HTTPServer(HTTPServer):
     """The gateway's and the stub backend's server: a deep backlog, quiet hang-ups.
 
-    `owner` is the Gateway or StubBackend its handlers answer for; start()
-    serves on a daemon thread and stop() ends that thread and closes the socket.
+    `owner` is the Gateway or StubBackend its handlers answer for. Each
+    subclass brings its own threads through start(name) and stop(): the
+    gateway's handler threads accept and serve their own connections, and
+    the stub backend accepts on one thread and serves each connection on a
+    thread of its own.
     """
 
     request_queue_size = 256
 
     def __init__(self, addr, handler, owner):
         self.owner = owner
-        self.thread: threading.Thread | None = None
         super().__init__(addr, handler)
-
-    def start(self, name: str) -> None:
-        self.thread = threading.Thread(target=self.serve_forever,
-                                       kwargs={"poll_interval": 0.05}, name=name, daemon=True)
-        self.thread.start()
-
-    def stop(self) -> None:
-        if self.thread is not None:
-            self.shutdown()
-            self.thread.join()
-        self.server_close()   # with block_on_close, joins the handler threads too
 
     def handle_error(self, request, client_address):
         # A client that hangs up before its reply is written is routine, not
@@ -224,9 +225,111 @@ class _HTTPServer(ThreadingHTTPServer):
         super().handle_error(request, client_address)
 
 
+# A handler thread whose accept() fails while the server is not stopping
+# (EMFILE, say) waits this long before it accepts again.
+ACCEPT_RETRY_S = 0.05
+
+
 class _GatewayServer(_HTTPServer):
-    daemon_threads = False      # handler threads are joined on close (graceful drain)
-    block_on_close = True
+    """Handler threads that each accept() a connection and serve it themselves.
+
+    start() starts one thread, and one more starts whenever the last idle
+    thread takes a connection, up to max_in_flight + 1: max_in_flight for
+    admitted requests and one to answer the next connection's 503 at once.
+    Threads stay alive once started; while every one is busy, further
+    connections wait in the listen backlog. No socket is handed between
+    threads.
+    """
+
+    def __init__(self, addr, handler, owner):
+        super().__init__(addr, handler, owner)
+        self.max_threads = owner.config.max_in_flight + 1
+        self.stopping = threading.Event()
+        self._name = ""
+        self._threads: list[threading.Thread] = []
+        self._busy: set[int] = set()    # idents of threads whose connection awaits its reply
+        self._lock = threading.Lock()
+
+    def start(self, name: str) -> None:
+        self._name = name
+        with self._lock:
+            self._add_thread()
+
+    def _add_thread(self) -> None:
+        """Start one more handler thread; the caller holds self._lock.
+
+        When the system has no thread to give, the threads already running
+        serve on, and a later connection tries again.
+        """
+        thread = threading.Thread(target=self._serve, name=f"{self._name}-{len(self._threads) + 1}",
+                                  daemon=True)
+        try:
+            thread.start()
+        except RuntimeError as exc:
+            if not self._threads:
+                raise
+            logger.warning("%s: cannot start a handler thread: %s", type(self).__name__, exc)
+            return
+        self._threads.append(thread)
+
+    def thread_counts(self) -> tuple[int, int]:
+        """(handler threads started, those of them holding a connection not yet answered)."""
+        with self._lock:
+            return len(self._threads), len(self._busy)
+
+    def release(self) -> None:
+        """Count the calling handler thread idle again.
+
+        A handler calls this just before it writes its reply, so a client
+        that reads the reply and connects again finds the thread idle, not
+        busy closing its socket, and no thread is started for it.
+        """
+        with self._lock:
+            self._busy.discard(threading.get_ident())
+
+    def _serve(self) -> None:
+        while True:
+            try:
+                request, client_address = self.get_request()
+            except OSError as exc:
+                if self.stopping.is_set():
+                    return
+                # Out of file descriptors, say: this may be the last thread
+                # that accepts, so it pauses and accepts again.
+                logger.debug("%s: accept failed: %s", type(self).__name__, exc)
+                self.stopping.wait(ACCEPT_RETRY_S)
+                continue
+            with self._lock:
+                self._busy.add(threading.get_ident())
+                if (len(self._busy) == len(self._threads) < self.max_threads
+                        and not self.stopping.is_set()):
+                    self._add_thread()
+            try:
+                self.finish_request(request, client_address)
+            except Exception:
+                self.handle_error(request, client_address)
+            finally:
+                self.release()
+                self.shutdown_request(request)
+
+    def stop(self) -> None:
+        """Stop accepting, let every handler finish its connection, close the socket.
+
+        Shutting the listening socket down makes every accept() blocked on
+        it, and every later one, fail at once (on Linux), so each idle
+        thread ends. A busy one ends after its connection; its socket
+        timeout drops a stalled client after timeout_ms.
+        """
+        self.stopping.set()
+        try:
+            self.socket.shutdown(socket.SHUT_RDWR)
+        except OSError:     # already stopped
+            pass
+        with self._lock:    # no thread starts once stopping is set
+            threads = list(self._threads)
+        for thread in threads:
+            thread.join()
+        self.server_close()
 
 
 # A larger declared POST body gets 413 unread, so no client can make a
@@ -320,6 +423,10 @@ class _Handler(_JSONHandler):
         self.timeout = self.server.owner.config.timeout_ms / 1000.0
         super().setup()
 
+    def _write(self, code: int, body: dict | str) -> None:
+        self.server.release()
+        super()._write(code, body)
+
     def do_GET(self):
         self._write(*self.server.owner.handle_get(self.path))
 
@@ -393,7 +500,7 @@ class Gateway:
             raise GatewayError(
                 f"cannot bind {self.config.host}:{self.config.port}: {exc}"
             ) from exc
-        self._server.start("gateway-serve")
+        self._server.start("gateway-handler")
 
     @property
     def port(self) -> int:
@@ -407,8 +514,11 @@ class Gateway:
 
     def shutdown(self) -> None:
         """Stop accepting, drain in-flight handlers, close idle backend connections and the log."""
-        if self._server is not None:
-            self._server.stop()
+        # serve_forever() may call this while another thread's call is in
+        # stop(); both then wait for the drain, which stop() allows twice.
+        server = self._server
+        if server is not None:
+            server.stop()
             self._server = None
         # After stop(): no handler is left to return a connection.
         with self._idle_lock:
@@ -423,10 +533,11 @@ class Gateway:
         """Serve until shutdown() from another thread or a KeyboardInterrupt, then shut down."""
         if self._server is None:
             self.start()
-        thread = self._server.thread
+        stopping = self._server.stopping
         try:
-            while thread.is_alive():
-                thread.join(timeout=0.2)
+            # A timed wait, so the main thread sees a Ctrl-C within 0.2 s.
+            while not stopping.wait(timeout=0.2):
+                pass
         finally:
             self.shutdown()
 
@@ -436,7 +547,7 @@ class Gateway:
         if path == "/healthz":
             return 200, {"status": "ok", "models": self.model.num_models}
         if path == "/metrics":
-            return 200, self.metrics.render_text()
+            return 200, self.metrics.render_text(*self._server.thread_counts())
         return 404, {"error": f"unknown path {path}"}
 
     def handle_post(self, path: str, payload: dict | None) -> tuple[int, dict]:

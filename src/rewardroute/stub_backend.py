@@ -6,9 +6,10 @@ response can be checked against an offline routing decision exactly. Supports
 an artificial delay and a forced-failure mode for exercising timeout and
 error paths. It reads bodies with the gateway's reader and checks the query
 with the gateway's rule (a bad body is 400, one over the cap 413), and it
-binds, serves and stops through the gateway's server class. It speaks
-HTTP/1.1, so a client may keep its connection for the next request;
-shutdown() closes those connections too.
+binds through the gateway's server class. Unlike the gateway, it starts a
+thread per connection: it speaks HTTP/1.1, so a client may keep its
+connection for the next request, and shutdown() closes those connections
+too.
 
 Runnable standalone:
 
@@ -22,6 +23,7 @@ import logging
 import socket
 import threading
 import time
+from socketserver import ThreadingMixIn
 
 from .gateway import _BodyTooLarge, _HTTPServer, _JSONHandler, _query
 from .ranking import stub_response
@@ -58,17 +60,26 @@ class _StubHandler(_JSONHandler):
                           "model_id": backend.model_id})
 
 
-class _StubServer(_HTTPServer):
-    """Keeps its open connections, so stop() can end the keep-alive ones.
+class _StubServer(ThreadingMixIn, _HTTPServer):
+    """Accepts on one thread and serves each connection on a daemon thread of its own.
 
-    Their handler threads are daemon threads that wait on a client's next
-    request with no timeout; without this they would serve it after stop().
+    It keeps its open connections, so stop() can end the keep-alive ones:
+    their threads wait on a client's next request with no timeout, and
+    without this would serve it after stop().
     """
+
+    daemon_threads = True
 
     def __init__(self, addr, handler, owner):
         self._open: set[socket.socket] = set()
         self._open_lock = threading.Lock()
+        self.thread: threading.Thread | None = None
         super().__init__(addr, handler, owner)
+
+    def start(self, name: str) -> None:
+        self.thread = threading.Thread(target=self.serve_forever,
+                                       kwargs={"poll_interval": 0.05}, name=name, daemon=True)
+        self.thread.start()
 
     def process_request(self, request, client_address):
         # On the serving thread, so once stop() has ended that thread, every
@@ -83,7 +94,10 @@ class _StubServer(_HTTPServer):
         super().shutdown_request(request)
 
     def stop(self) -> None:
-        super().stop()
+        if self.thread is not None:
+            self.shutdown()
+            self.thread.join()
+        self.server_close()
         with self._open_lock:
             for request in self._open:
                 try:

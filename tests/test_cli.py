@@ -724,7 +724,7 @@ def test_serve_shuts_the_gateway_down_once_on_ctrl_c(tmp_path, ckpt, monkeypatch
         while not started and time.monotonic() < deadline:
             time.sleep(0.01)
         if started:
-            time.sleep(0.3)  # serve_forever is now waiting on the serving thread
+            time.sleep(0.3)  # serve_forever is now waiting for shutdown
             _thread.interrupt_main()  # what a Ctrl-C raises in the main thread
 
     ctrl_c = threading.Thread(target=interrupt_once_serving)

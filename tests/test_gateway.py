@@ -1,6 +1,8 @@
 import ast
+import errno
 import http.client
 import json
+import logging
 import os
 import signal
 import socket
@@ -946,6 +948,154 @@ def test_shutdown_drains_in_flight_requests(gw_env):
     gw.shutdown()
     worker.join()
     assert results and results[0][0] == 200
+
+
+def _gauges(gw) -> dict[str, int]:
+    """The handler-thread gauges of one /metrics scrape."""
+    _, text = _get(gw.url + "/metrics")
+    return {name: int(value) for name, value in
+            (line.split() for line in text.splitlines() if line.startswith("gateway_handler_"))}
+
+
+def _wait_for(condition, seconds=5.0):
+    deadline = time.monotonic() + seconds
+    while not condition():
+        assert time.monotonic() < deadline, "condition not met in time"
+        time.sleep(0.01)
+
+
+def test_handler_threads_stop_at_max_in_flight_plus_one(gw_env):
+    before = set(threading.enumerate())
+    gw = gw_env.gateway(max_in_flight=3, timeout_ms=400)
+    idle = [socket.create_connection((gw.config.host, gw.port), timeout=5) for _ in range(6)]
+    try:
+        time.sleep(0.15)  # each connection has been taken, or waits in the backlog
+        started = [t for t in threading.enumerate() if t not in before]
+        assert len(started) <= 4, [t.name for t in started]
+        # The seventh client waits behind the six until their handlers drop
+        # them after timeout_ms, then gets its answer.
+        status, body = _post(gw.url + "/route", {"query": "tide moon shore"}, timeout=10)
+        assert status == 200, body
+        assert _gauges(gw)["gateway_handler_threads"] == 4
+        assert all(sock.recv(4096) == b"" for sock in idle)
+    finally:
+        for sock in idle:
+            sock.close()
+
+
+def test_sequential_requests_reuse_two_handler_threads(gw_env):
+    gw = gw_env.gateway()
+    served_on = set()
+    handle_post = gw.handle_post
+
+    def recording(path, payload):
+        served_on.add(threading.current_thread().name)
+        return handle_post(path, payload)
+
+    gw.handle_post = recording
+    for i in range(50):
+        assert _post(gw.url + "/route", {"query": f"tide moon shore {i}"})[0] == 200
+    # A thread that takes the last idle slot starts one more, which takes
+    # the next connection while the first one closes its own.
+    assert served_on <= {"gateway-handler-1", "gateway-handler-2"}, served_on
+    assert _gauges(gw)["gateway_handler_threads"] <= 2
+
+
+def test_handler_thread_gauges_count_started_and_busy_threads(gw_env):
+    gw = gw_env.gateway(max_in_flight=3)
+    held = [socket.create_connection((gw.config.host, gw.port), timeout=5) for _ in range(2)]
+    try:
+        # Two threads hold a silent client each, a third serves the scrape,
+        # and taking the last idle slot started a fourth.
+        assert _gauges(gw) == {"gateway_handler_threads": 4, "gateway_handler_threads_busy": 3}
+    finally:
+        for sock in held:
+            sock.close()
+    _wait_for(lambda: gw._server.thread_counts() == (4, 0))
+    assert _gauges(gw) == {"gateway_handler_threads": 4, "gateway_handler_threads_busy": 1}
+
+
+def test_a_failed_accept_is_logged_and_the_thread_accepts_again(gw_env, monkeypatch, caplog):
+    real_accept = socket.socket.accept
+    stubs = [b._server.socket for b in gw_env.backends.values()]
+    failed = []
+
+    def accept(sock):
+        if not failed and all(sock is not s for s in stubs):
+            failed.append(sock)
+            raise OSError(errno.EMFILE, "Too many open files")
+        return real_accept(sock)
+
+    monkeypatch.setattr(socket.socket, "accept", accept)
+    with caplog.at_level(logging.DEBUG, logger="rewardroute.gateway"):
+        # The gateway's first and only handler thread meets the failure.
+        gw = gw_env.gateway()
+        for i in range(3):
+            assert _post(gw.url + "/route", {"query": f"tide moon shore {i}"})[0] == 200
+    assert failed == [gw._server.socket]
+    assert "accept failed: [Errno 24] Too many open files" in caplog.text
+
+
+def test_a_thread_that_cannot_start_leaves_the_running_ones_serving(gw_env, monkeypatch, caplog):
+    gw = gw_env.gateway()
+    real_start = threading.Thread.start
+
+    def start(thread):
+        if thread.name.startswith("gateway-handler-"):
+            raise RuntimeError("can't start new thread")
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    with caplog.at_level(logging.WARNING, logger="rewardroute.gateway"):
+        for i in range(3):
+            assert _post(gw.url + "/route", {"query": f"tide moon shore {i}"})[0] == 200
+    assert gw._server.thread_counts() == (1, 0)
+    assert "cannot start a handler thread: can't start new thread" in caplog.text
+    monkeypatch.undo()
+    started = time.perf_counter()
+    gw.shutdown()
+    assert time.perf_counter() - started < 1.0
+
+
+def test_handler_thread_counts_survive_many_concurrent_clients(gw_env):
+    gw = gw_env.gateway(max_in_flight=4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            statuses = list(pool.map(
+                lambda i: _post(gw.url + "/route", {"query": f"tide moon shore {i}"})[0],
+                range(200)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert set(statuses) <= {200, 503} and statuses.count(200) > 0
+    # Every thread counted itself idle before its reply went out.
+    started, busy = gw._server.thread_counts()
+    assert started <= 5 and busy == 0
+
+
+def test_serve_forever_returns_once_shutdown_is_called_elsewhere(gw_env):
+    gw = gw_env.gateway()
+    serving = threading.Thread(target=gw.serve_forever)
+    serving.start()
+    assert _post(gw.url + "/route", {"query": "tide moon shore"})[0] == 200
+    gw.shutdown()
+    serving.join(timeout=5)
+    assert not serving.is_alive()
+
+
+def test_shutdown_with_idle_handler_threads_returns_at_once(gw_env):
+    gw = gw_env.gateway(max_in_flight=3)
+    held = [socket.create_connection((gw.config.host, gw.port), timeout=5) for _ in range(3)]
+    _wait_for(lambda: gw._server.thread_counts() == (4, 3))
+    for sock in held:
+        sock.close()
+    _wait_for(lambda: gw._server.thread_counts() == (4, 0))
+    threads = [t for t in threading.enumerate() if t.name.startswith("gateway-handler-")]
+    started = time.perf_counter()
+    gw.shutdown()
+    assert time.perf_counter() - started < 1.0
+    assert not any(t.is_alive() for t in threads)
 
 
 def _write_registry(path, endpoints):
